@@ -233,25 +233,28 @@ def sample_cone(spec, count, seed, boundary_bias=0.8, min_margin=0.0):
     Magnitudes are log-uniform in [1e-2, 1e2]; a boundary_bias fraction of
     draws is mixed toward a vector with one negative entry so that Gamma~_k
     samples populate the sigma_k < 0 region.  Draws that exit the cone are
-    rejected; sustained rejection (> 99.9%) raises SamplingError.
+    rejected; a trial that finds no point is replaced by the next trial
+    index after count, and SamplingError is raised once the empty trials
+    outnumber the points requested.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
     out = []
     failures = 0
     streams = _TrialStreams(seed)
-    for i in range(count):
-        point = _sample_one(spec, streams.at(i), boundary_bias, min_margin)
+    index = 0
+    while len(out) < count:
+        point = _sample_one(spec, streams.at(index), boundary_bias, min_margin)
+        index += 1
         if point is None:
             failures += 1
-            if failures * 1000 > count:
+            if failures > count:
                 raise SamplingError(
-                    f"rejection rate above 99.9% while sampling {spec.kind} cone"
+                    f"{failures} empty trials outnumber the {len(out)} points drawn "
+                    f"({count} requested) while sampling {spec.kind} cone"
                 )
             continue
         out.append(point)
-    if len(out) < count:
-        raise SamplingError(f"could only draw {len(out)} of {count} requested points")
     return out
 
 

@@ -11,15 +11,22 @@ Geometry comes from the standard radial-graph formulas: with W^2 = rho^2 +
     2nd form    h = (rho^2 e + 2 d rho (x) d rho - rho Hess rho) / W
     curvatures  kappa = eigenvalues of g^{-1} h   (sorted descending)
 
-The equation Q(kappa) = psi(X, nu) is solved by damped Newton with a dense
-forward-difference Jacobian, and by homotopy continuation from a round
-start for data satisfying the barrier conditions.
+The equation Q(kappa) = psi(X, nu) is solved by damped Newton, and by
+homotopy continuation from a round start for data satisfying the barrier
+conditions.  The residual at a node reads only its 3x3 stencil, so Newton
+builds a colored sparse forward-difference Jacobian (one perturbed surface
+per group of columns that share no row; Curtis, Powell and Reid 1974) and
+factors it with a sparse LU.
 """
 
 import csv
+import functools
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
 from scipy.optimize import brentq
 
 from .errors import (
@@ -363,7 +370,6 @@ class SolveOptions:
     tol: float = None          # absolute; default 1e-10 * psi scale
     max_iter: int = 40
     max_halvings: int = 30
-    jacobian_chunk: int = 256
 
 
 @dataclass
@@ -371,25 +377,72 @@ class NewtonDiagnostics:
     iterations: list = field(default_factory=list)  # (residual_inf, step, halvings)
     converged: bool = False
     tol: float = None
+    # one entry per Newton step (attempted steps included):
+    residual_evals: list = field(default_factory=list)  # color groups + line-search candidates
+    jacobian_s: list = field(default_factory=list)      # Jacobian assembly
+    linsolve_s: list = field(default_factory=list)      # sparse LU factor and solve
+    line_search_s: list = field(default_factory=list)   # backtracking line search
 
     @property
     def n_iter(self):
         return len(self.iterations)
 
 
-def _jacobian_fd(rho, grid, op, psi, base, chunk):
-    """Dense forward-difference Jacobian of the residual in the rho unknowns."""
+@dataclass(frozen=True)
+class _JacobianPattern:
+    """CSC structure of the residual Jacobian and a column coloring in which
+    no two columns of one color share a row."""
+
+    indices: np.ndarray   # row of each structural nonzero, column-major
+    indptr: np.ndarray
+    cols: np.ndarray      # column of each structural nonzero
+    colors: np.ndarray    # color of each column
+    n_colors: int
+
+
+@functools.lru_cache(maxsize=None)
+def _jacobian_pattern(grid):
+    """Pattern from the stencil: node (j, i) reads (j+dj, i+di) for dj, di in
+    {-1, 0, 1}, longitude wrapping round; across a pole the ghost row is the
+    edge row shifted by n_lon/2 (as in _pole_pad).  Columns are colored
+    greedily in index order."""
+    n_lat, n_lon = grid.shape
+    j, i = np.indices(grid.shape).reshape(2, -1, 1)
+    dj, di = np.indices((3, 3)).reshape(2, 1, -1) - 1
+    nj, ni = j + dj, i + di
+    across = (nj < 0) | (nj >= n_lat)
+    nj = np.clip(nj, 0, n_lat - 1)
+    ni = (ni + across * (n_lon // 2)) % n_lon
+    rows = np.broadcast_to(j * n_lon + i, nj.shape)
+    n = n_lat * n_lon
+    pattern = scipy.sparse.csc_matrix(
+        (np.ones(rows.size), (rows.ravel(), (nj * n_lon + ni).ravel())), shape=(n, n))
+    pattern.sum_duplicates()
+    pattern.sort_indices()
+    shared = (pattern.T @ pattern).tocsr()   # columns sharing at least one row
+    colors = np.full(n, -1)
+    for c in range(n):
+        used = set(colors[shared.indices[shared.indptr[c]:shared.indptr[c + 1]]].tolist())
+        colors[c] = next(k for k in range(n) if k not in used)
+    cols = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    return _JacobianPattern(pattern.indices, pattern.indptr, cols, colors,
+                            int(colors.max()) + 1)
+
+
+def _jacobian_fd(rho, grid, op, psi, base):
+    """Sparse forward-difference Jacobian of the residual in the rho unknowns:
+    one perturbed surface per color group, all in one residual call."""
+    pat = _jacobian_pattern(grid)
     n = rho.size
     flat = rho.ravel()
     deltas = np.sqrt(_EPS) * (1.0 + np.abs(flat))
-    jac = np.empty((n, n))
-    for start in range(0, n, chunk):
-        idx = np.arange(start, min(start + chunk, n))
-        batch = np.repeat(flat[None, :], idx.size, axis=0)
-        batch[np.arange(idx.size), idx] += deltas[idx]
-        res, _ = _residual_raw(batch.reshape(idx.size, *grid.shape), grid, op, psi)
-        jac[:, idx] = (res.reshape(idx.size, n) - base.ravel()[None, :]).T / deltas[idx]
-    return jac
+    batch = np.repeat(flat[None, :], pat.n_colors, axis=0)
+    batch[pat.colors, np.arange(n)] += deltas
+    res, _ = _residual_raw(batch.reshape(pat.n_colors, *grid.shape), grid, op, psi)
+    res = res.reshape(pat.n_colors, n)
+    values = (res[pat.colors[pat.cols], pat.indices] - base.ravel()[pat.indices]) \
+        / deltas[pat.cols]
+    return scipy.sparse.csc_matrix((values, pat.indices, pat.indptr), shape=(n, n))
 
 
 def newton_solve(initial, op, psi, opts=None):
@@ -423,18 +476,28 @@ def newton_solve(initial, op, psi, opts=None):
         if norm <= tol:
             diag.converged = True
             return RadialSurfaceField(rho, grid), diag
-        jac = _jacobian_fd(rho, grid, op, psi, res, opts.jacobian_chunk)
+        t0 = perf_counter()
+        jac = _jacobian_fd(rho, grid, op, psi, res)
+        t1 = perf_counter()
+        diag.jacobian_s.append(t1 - t0)
+        diag.residual_evals.append(_jacobian_pattern(grid).n_colors)
         try:
-            step = np.linalg.solve(jac, -res.ravel()).reshape(grid.shape)
-        except np.linalg.LinAlgError as exc:
+            lu = scipy.sparse.linalg.splu(jac)
+        except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
+            diag.linsolve_s.append(perf_counter() - t1)
+            diag.line_search_s.append(0.0)
             raise ConvergenceError(f"singular Jacobian: {exc}",
                                    last_surface=RadialSurfaceField(rho, grid),
                                    diagnostics=diag) from None
+        step = lu.solve(-res.ravel()).reshape(grid.shape)
+        t2 = perf_counter()
+        diag.linsolve_s.append(t2 - t1)
         scale = 1.0
         accepted = False
         for halving in range(opts.max_halvings + 1):
             cand = rho + scale * step
             if np.all(cand > 0):
+                diag.residual_evals[-1] += 1
                 cand_res, cand_ok = _residual_raw(cand, grid, op, psi)
                 cand_norm = float(np.max(np.abs(cand_res)))
                 if cand_ok.all() and np.isfinite(cand_norm) and cand_norm < norm:
@@ -443,6 +506,7 @@ def newton_solve(initial, op, psi, opts=None):
                     accepted = True
                     break
             scale *= 0.5
+        diag.line_search_s.append(perf_counter() - t2)
         if not accepted:
             raise ConvergenceError(
                 f"line search failed after {opts.max_halvings} halvings "

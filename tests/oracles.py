@@ -77,3 +77,16 @@ def fd_hessian(f, x, h=1e-4):
 def fd_second_directional(s_values_fn, h=1e-5):
     """d^2/ds^2 at s=0 of a scalar function given via s -> value."""
     return (s_values_fn(h) - 2.0 * s_values_fn(0.0) + s_values_fn(-h)) / h**2
+
+
+def fd_jacobian_dense(f, x, steps):
+    """Dense forward-difference Jacobian of a vector function: column j is
+    (f(x + steps[j] e_j) - f(x)) / steps[j], one call of f per column."""
+    x = np.asarray(x, dtype=float)
+    fx = np.asarray(f(x), dtype=float)
+    out = np.zeros((fx.size, x.size))
+    for j in range(x.size):
+        e = np.zeros_like(x)
+        e[j] = steps[j]
+        out[:, j] = (np.asarray(f(x + e), dtype=float) - fx) / steps[j]
+    return out

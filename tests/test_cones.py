@@ -4,7 +4,7 @@ import pytest
 from symcurv import cones, symfun
 from symcurv.combop import OperatorSpec
 from symcurv.cones import ConeSpec
-from symcurv.errors import DomainError
+from symcurv.errors import DomainError, SamplingError
 
 
 def test_gamma_k_membership_examples():
@@ -51,6 +51,21 @@ def test_sample_cone_postconditions_and_determinism():
     assert pts != cones.sample_cone(spec, 50, seed=2)
     with pytest.raises(DomainError):
         cones.sample_cone(spec, 0, seed=1)
+
+
+def test_sample_cone_replaces_empty_trials():
+    # a few of these 2000 trials find no point with margin 0.05; each is
+    # replaced by a later trial index instead of failing the whole draw
+    spec = ConeSpec("garding", 4, 4)
+    pts = cones.sample_cone(spec, 2000, seed=0, min_margin=0.05)
+    assert len(pts) == 2000
+    assert all(cones.cone_margin(spec, p) >= 0.05 for p in pts)
+
+
+def test_sample_cone_raises_when_empty_trials_outnumber_points():
+    # normalized margins never exceed 1, so every trial comes back empty
+    with pytest.raises(SamplingError, match="4 empty trials outnumber the 0 points"):
+        cones.sample_cone(ConeSpec("garding", 3, 2), 3, seed=0, min_margin=2.0)
 
 
 def test_sample_cone_reaches_negative_sigma_k():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
+from oracles import fd_jacobian_dense
 from symcurv import geomsolve as gs
 from symcurv.combop import OperatorSpec, q_eval
 from symcurv.errors import ConeExitError, ConvergenceError, DomainError
@@ -103,6 +105,89 @@ def test_newton_sphere_fixed_point():
     assert diag.converged
     assert np.abs(surf.rho - 2.0).max() <= 1e-8
     assert diag.n_iter - 1 <= 12
+
+
+def _jacobian_cases(grid):
+    aniso = gs.PsiSpec("anisotropic-radial", c=3.0, p=3.0, eps=0.1, axis=(0, 0, 1))
+    return [
+        (gs.perturbed_sphere(grid, 2.0, 0.05, seed=808), gs.PsiSpec("constant", c=1.25)),
+        (gs.perturbed_sphere(grid, 1.0, 0.05, seed=1), aniso),
+        (gs.perturbed_sphere(grid, 1.05, 0.05, seed=2),
+         gs.PsiSpec("manufactured-ellipsoid", axes=(1.0, 1.0, 1.2), op=OP)),
+        (gs.perturbed_sphere(grid, 1.0, 0.05, seed=3), gs._BlendedPsi(aniso, OP, 0.5, 1e-2)),
+    ]
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (10, 5), (16, 8), (32, 16)])
+def test_colored_jacobian_equals_dense_oracle(shape):
+    # each residual row reads only its stencil, so grouping columns changes
+    # no bit of the forward differences
+    grid = gs.SphereGrid(*shape)
+    for surf, psi in _jacobian_cases(grid):
+        def f(x):
+            return gs._residual_raw(x.reshape(grid.shape), grid, OP, psi)[0].ravel()
+
+        base = f(surf.rho.ravel())
+        steps = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(surf.rho.ravel()))
+        dense = fd_jacobian_dense(f, surf.rho.ravel(), steps)
+        colored = gs._jacobian_fd(surf.rho, grid, OP, psi, base.reshape(grid.shape))
+        assert scipy.sparse.issparse(colored)
+        assert np.array_equal(colored.toarray(), dense), psi
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (10, 5), (16, 8)])
+def test_jacobian_coloring_is_valid(shape):
+    # (4, 2): the stencil wraps onto itself; (10, 5): n_lon not a multiple of 3
+    grid = gs.SphereGrid(*shape)
+    pat = gs._jacobian_pattern(grid)
+    n = grid.n_lat * grid.n_lon
+    rows_of = [set(pat.indices[pat.indptr[c]:pat.indptr[c + 1]]) for c in range(n)]
+    assert all(rows_of[c] for c in range(n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            if pat.colors[a] == pat.colors[b]:
+                assert not rows_of[a] & rows_of[b], (a, b)
+    assert pat.n_colors == len(set(pat.colors.tolist()))
+
+
+def test_newton_singular_jacobian_raises(monkeypatch):
+    g = gs.SphereGrid(16, 8)
+    n = g.n_lat * g.n_lon
+    monkeypatch.setattr(gs, "_jacobian_fd",
+                        lambda *args: scipy.sparse.csc_matrix((n, n)))
+    initial = gs.perturbed_sphere(g, 2.0, 0.05, seed=7)
+    with pytest.raises(ConvergenceError, match="singular Jacobian") as err:
+        gs.newton_solve(initial, OP, gs.PsiSpec("constant", c=1.25))
+    assert np.array_equal(err.value.last_surface.rho, initial.rho)
+    assert err.value.diagnostics.n_iter == 1
+    assert not err.value.diagnostics.converged
+
+
+def test_newton_telemetry_adds_up(monkeypatch):
+    g = gs.SphereGrid(16, 8)
+    surfaces = []
+    raw = gs._residual_raw
+
+    def counting(rho, grid, op, psi):
+        surfaces.append(rho.size // (grid.n_lat * grid.n_lon))
+        return raw(rho, grid, op, psi)
+
+    monkeypatch.setattr(gs, "_residual_raw", counting)
+    initial = gs.perturbed_sphere(g, 2.0, 0.05, seed=7)
+    _, diag = gs.newton_solve(initial, OP, gs.PsiSpec("constant", c=1.25))
+    steps = diag.n_iter - 1
+    groups = gs._jacobian_pattern(g).n_colors
+    assert steps > 0
+    for log in (diag.residual_evals, diag.jacobian_s, diag.linsolve_s, diag.line_search_s):
+        assert len(log) == steps
+        assert all(x >= 0 for x in log)
+    # the initial residual, then per step one call for the color groups and
+    # one per line-search candidate (every candidate here stays positive)
+    want = [1]
+    for evals, (_, _, halvings) in zip(diag.residual_evals, diag.iterations):
+        assert evals == groups + halvings + 1
+        want += [groups] + [1] * (halvings + 1)
+    assert surfaces == want
 
 
 def test_newton_rejects_inadmissible_start():
