@@ -18,14 +18,30 @@ import numpy as np
 
 from .errors import DomainError, DomainExitError, SingularityError
 from .symfun import as_tuple, sigma_all, sigma_all_batch
-from .combop import OperatorSpec, LowerOperatorSpec, q_eval, q_grad, q_hess, quotient_q
+from .combop import (
+    OperatorSpec,
+    LowerOperatorSpec,
+    _pairs,
+    q_eval,
+    q_eval_batch,
+    q_grad_batch,
+    q_hess_batch,
+    quotient_q,
+)
 from .cones import (
     ConeSpec,
     VerificationReport,
     cone_contains,
     cone_margins_batch,
-    _sample_one,
-    _TrialStreams,
+    _PHASE_HESSIAN,
+    _PHASE_NORMAL,
+    _PHASE_POINT,
+    _Draws,
+    _Part,
+    _chunks,
+    _pass_rounds,
+    _normal_chunk,
+    _sample,
 )
 
 __all__ = [
@@ -270,6 +286,29 @@ def _hessian_stencil(n):
     return np.array(rows)
 
 
+def _stencil_probes(xs, hs):
+    """Central-difference probe points, shape (m, 2n^2+1, n), for rows of
+    xs (m, n) with steps hs (m,)."""
+    return xs[:, None, :] + hs[:, None, None] * _hessian_stencil(xs.shape[1])[None]
+
+
+def _hessians_from_values(vals, n, hs):
+    """Central-difference Hessians (m, n, n) from stencil values (m, 2n^2+1)."""
+    m = vals.shape[0]
+    h2 = (hs**2)[:, None]
+    fx = vals[:, :1]
+    hess = np.zeros((m, n, n))
+    diag = np.arange(n)
+    hess[:, diag, diag] = (vals[:, 1: 2 * n + 1: 2] - 2.0 * fx + vals[:, 2: 2 * n + 2: 2]) / h2
+    if n > 1:
+        i, j = _pairs(n)  # same pair order as the stencil
+        fpp, fpm, fmp, fmm = vals[:, 2 * n + 1:].reshape(m, -1, 4).transpose(2, 0, 1)
+        off = (fpp - fpm - fmp + fmm) / (4.0 * h2)
+        hess[:, i, j] = off
+        hess[:, j, i] = off
+    return hess
+
+
 def fd_hessian(field, x, h):
     """Symmetrized central-difference Hessian of the field at x, step h.
 
@@ -280,89 +319,133 @@ def fd_hessian(field, x, h):
     n = xv.size
     if field.n != n:
         raise DomainError(f"field expects n={field.n}, got {n}")
-    probes = xv[None, :] + h * _hessian_stencil(n)
+    hs = np.array([float(h)])
+    probes = _stencil_probes(xv[None, :], hs)[0]
     ok = field.inside(probes)
     if not ok.all():
         bad = probes[int(np.argmin(ok))]
         raise DomainExitError("finite-difference probe left the domain cone",
                               point=tuple(bad))
-    vals = field.values(probes)
-    fx = vals[0]
-    hess = np.zeros((n, n))
-    pos = 1
-    for i in range(n):
-        hess[i, i] = (vals[pos] - 2.0 * fx + vals[pos + 1]) / h**2
-        pos += 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            fpp, fpm, fmp, fmm = vals[pos: pos + 4]
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h**2)
-            pos += 4
-    return 0.5 * (hess + hess.T)
+    return _hessians_from_values(field.values(probes)[None, :], n, hs)[0]
 
 
-def _validated_max_eig(field, x, gate):
-    """Normalized max Hessian eigenvalue with a step-halving validity gate.
+def _validated_max_eigs(field, xs, gate):
+    """Normalized max Hessian eigenvalues with a step-halving validity gate.
 
-    Evaluates the central-difference Hessian at steps h and h/2 and accepts
-    the Richardson extrapolate (4*H(h/2) - H(h))/3 only when the two
-    max-eigenvalue estimates agree within `gate` (normalized); otherwise the
-    step is refined, and None is returned when no trustworthy estimate
-    exists (truncation-dominated probe, e.g. too close to the cone boundary).
+    For each row of xs (m, n), evaluates the central-difference Hessian at
+    steps h and h/2 and accepts the Richardson extrapolate
+    (4*H(h/2) - H(h))/3 only when the two max-eigenvalue estimates agree
+    within `gate` (normalized); otherwise the step is halved, up to 3
+    times.  A stencil that leaves the domain also halves the step.  Returns
+    (values, validated); rows with no trustworthy estimate (truncation-
+    dominated probe, e.g. too close to the cone boundary) are not validated.
     """
-    fx = float(field.fn(x))
-    scale = (1.0 + abs(fx)) / (1.0 + max(abs(v) for v in x)) ** 2
-    h = 2.0 * default_step(x)
+    m, n = xs.shape
+    top = 1.0 + np.max(np.abs(xs), axis=1)
+    h = 2.0 * _EPS**0.25 * top
+    values = np.full(m, np.nan)
+    validated = np.zeros(m, dtype=bool)
     for _ in range(3):
-        try:
-            coarse = fd_hessian(field, x, h)
-            fine = fd_hessian(field, x, 0.5 * h)
-        except DomainExitError:
-            h *= 0.5
-            continue
-        e_coarse = float(np.linalg.eigvalsh(coarse)[-1]) / scale
-        e_fine = float(np.linalg.eigvalsh(fine)[-1]) / scale
-        if abs(e_coarse - e_fine) <= gate:
-            extrap = (4.0 * fine - coarse) / 3.0
-            return float(np.linalg.eigvalsh(extrap)[-1]) / scale
-        h *= 0.5
-    return None
-
-
-def _midpoint_residuals(field, x, dirs):
-    """Normalized 2f(x) - f(x+eps*xi) - f(x-eps*xi) for a (d, n) array of
-    directions, with per-direction eps shrunk until both probes are inside
-    the cone.  Returns (residuals, eps) arrays; directions with no
-    admissible eps carry +inf residual."""
-    xv = np.asarray(x, dtype=float)
-    fx = float(field.values(xv[None, :])[0])
-    d = dirs.shape[0]
-    eps = np.full(d, 0.05 * (1.0 + np.max(np.abs(xv))))
-    alive = np.ones(d, dtype=bool)
-    for _ in range(60):
-        if not alive.any():
+        rows = (~validated).nonzero()[0]
+        if rows.size == 0:
             break
-        probes = np.concatenate(
-            [xv[None, :] + eps[alive, None] * dirs[alive],
-             xv[None, :] - eps[alive, None] * dirs[alive]]
-        )
-        ok = field.inside(probes)
-        m = int(alive.sum())
-        good = ok[:m] & ok[m:]
-        idx = np.nonzero(alive)[0]
-        alive[idx[good]] = False
-        eps[idx[~good]] *= 0.5
-    usable = ~alive
-    res = np.full(d, np.inf)
-    if usable.any():
-        probes = np.concatenate(
-            [xv[None, :] + eps[usable, None] * dirs[usable],
-             xv[None, :] - eps[usable, None] * dirs[usable]]
-        )
-        vals = field.values(probes)
-        m = int(usable.sum())
-        res[usable] = (2.0 * fx - vals[:m] - vals[m:]) / (1.0 + abs(fx))
-    return res, eps
+        k = rows.size
+        hs = np.concatenate([h[rows], 0.5 * h[rows]])
+        probes = _stencil_probes(np.concatenate([xs[rows], xs[rows]]), hs)
+        s = probes.shape[1]
+        inside = field.inside(probes.reshape(-1, n)).reshape(2 * k, s).all(axis=1)
+        usable = (inside[:k] & inside[k:]).nonzero()[0]
+        if usable.size:
+            both = np.concatenate([usable, usable + k])
+            vals = field.values(probes[both].reshape(-1, n)).reshape(-1, s)
+            hess = _hessians_from_values(vals, n, hs[both])
+            coarse, fine = hess[: usable.size], hess[usable.size:]
+            extrap = (4.0 * fine - coarse) / 3.0
+            # stencil row 0 is x itself
+            scale = (1.0 + np.abs(vals[: usable.size, 0])) / top[rows[usable]] ** 2
+            e_coarse, e_fine, e_extrap = np.linalg.eigvalsh(
+                np.concatenate([hess, extrap]))[:, -1].reshape(3, -1) / scale
+            agree = np.abs(e_coarse - e_fine) <= gate
+            done = rows[usable[agree]]
+            values[done] = e_extrap[agree]
+            validated[done] = True
+        h[rows] *= 0.5
+    return values, validated
+
+
+def _midpoint_residuals(field, xs, dirs):
+    """Normalized 2f(x) - f(x+eps*xi) - f(x-eps*xi) for every (trial,
+    direction) pair: xs (m, n), dirs (m, d, n).  Per pair, eps starts at
+    0.05 * (1 + |x|_inf) and is halved (up to 60 times) until both probes
+    are inside the cone; when few pairs are left, several halvings are
+    tried in one pass (halving is exact, so the result is the same).
+    Returns (residuals, eps), shape (m, d); pairs with no admissible eps
+    carry +inf residual."""
+    m, d, n = dirs.shape
+    base = np.repeat(xs, d, axis=0)
+    flat = dirs.reshape(m * d, n)
+    eps = np.repeat(0.05 * (1.0 + np.max(np.abs(xs), axis=1)), d)
+    alive = np.ones(m * d, dtype=bool)
+    halvings = 0
+    while halvings < 60:
+        idx = alive.nonzero()[0]
+        if idx.size == 0:
+            break
+        levels = min(60 - halvings, _pass_rounds(idx.size))
+        trial_eps = eps[idx] * 0.5 ** np.arange(levels)[:, None]         # (levels, k)
+        step = trial_eps[..., None] * flat[idx]
+        ok = field.inside(np.concatenate([base[idx] + step, base[idx] - step]).reshape(-1, n))
+        good = (ok[: step.size // n] & ok[step.size // n:]).reshape(levels, idx.size)
+        hit = good.any(axis=0)
+        first = np.argmax(good, axis=0)
+        eps[idx] = np.where(hit, trial_eps[first, np.arange(idx.size)], trial_eps[-1] * 0.5)
+        alive[idx[hit]] = False
+        halvings += levels
+    usable = (~alive).nonzero()[0]
+    res = np.full(m * d, np.inf)
+    step = eps[usable, None] * flat[usable]
+    vals = field.values(np.concatenate([xs, base[usable] + step, base[usable] - step]))
+    f0 = vals[usable // d]
+    plus, minus = vals[m: m + usable.size], vals[m + usable.size:]
+    res[usable] = (2.0 * f0 - plus - minus) / (1.0 + np.abs(f0))
+    return res.reshape(m, d), eps.reshape(m, d)
+
+
+def _midpoint_chunk(field, draws, start, xs, found, directions):
+    """Midpoint residuals of one chunk of trials (see _midpoint_residuals)
+    along `directions` random unit directions per trial.  Returns the
+    trials that have a point, their directions, residuals (NaN read as
+    unresolved, +inf) and probe sizes."""
+    m, n = found.size, field.n
+    dirs = _normal_chunk(draws, _PHASE_NORMAL, start, m, directions * n)
+    dirs = dirs.reshape(m, directions, n)[found]
+    dirs /= np.sqrt(np.sum(dirs * dirs, axis=2, keepdims=True))
+    xs = xs[found]
+    res, eps = _midpoint_residuals(field, xs, dirs)
+    res[np.isnan(res)] = np.inf
+    return xs, dirs, res, eps
+
+
+def _hessian_chunk(field, draws, start, xs, found, gate, margin):
+    """Validated max Hessian eigenvalues of one chunk of trials, given their
+    first samples; a trial whose estimate does not validate is resampled,
+    up to 6 samples in all.  Returns (values, points, validated)."""
+    m = found.size
+    values = np.full(m, -np.inf)
+    points = np.zeros((m, field.n))
+    done = np.zeros(m, dtype=bool)
+    for j in range(6):
+        if j:
+            if done.all():
+                break
+            [(xs, found)] = _sample(field.domain, draws,
+                                    [_Part(_PHASE_HESSIAN + j, start, m, 0.5, margin, ~done)])
+        rows = found.nonzero()[0]
+        if rows.size:
+            got, ok = _validated_max_eigs(field, xs[rows], gate)
+            rows = rows[ok]
+            values[rows], points[rows], done[rows] = got[ok], xs[rows], True
+    return values, points, done
 
 
 def concavity_scan(
@@ -380,58 +463,67 @@ def concavity_scan(
     Midpoint trials sample the full (boundary-biased) cone distribution and
     must stay >= -tol after normalization.  Hessian trials sample interior
     points (normalized cone margin >= hessian_margin), validate each
-    eigenvalue estimate by step-halving agreement, and require the maximum
-    eigenvalue <= hessian_tol after normalization.  Defaults:
-    hessian_trials = max(1, trials // 10).
+    eigenvalue estimate by step-halving agreement (up to 6 resamples per
+    trial), and require the maximum eigenvalue <= hessian_tol after
+    normalization.  Defaults: hessian_trials = max(1, trials // 10).
 
-    Returns a VerificationReport; details carry the Hessian worst case and
-    the number of validated Hessian probes.
+    Returns a VerificationReport; details carry the Hessian worst case, the
+    number of validated Hessian probes and the evidence counters:
+    trials_evaluated (midpoint trials with a finite residual),
+    trials_skipped (midpoint trials the sampler found no point for) and
+    directions_unresolved (sampled (trial, direction) pairs with no
+    admissible probe size or a non-finite residual).  A scan with no finite
+    midpoint residual, or with Hessian trials requested and none
+    validated, is inconclusive: details["inconclusive"] is True and the
+    report does not pass.
     """
     if field.domain is None:
         raise DomainError("concavity_scan needs a field with a domain cone")
     if hessian_trials is None:
         hessian_trials = max(1, trials // 10)
+    dom, n = field.domain, field.n
+    draws = _Draws(seed)
     mid_worst = np.inf
     mid_witness = None
     mid_extra = None
-    streams = _TrialStreams(seed)
-    for i in range(trials):
-        rng = streams.at(i)
-        x = _sample_one(field.domain, rng)
-        if x is None:
-            continue
-        dirs = rng.normal(size=(directions, field.n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        res, eps = _midpoint_residuals(field, x, dirs)
-        j = int(np.argmin(res))
-        if res[j] < mid_worst:
-            mid_worst = float(res[j])
-            mid_witness = x
-            mid_extra = {"direction": tuple(dirs[j]), "eps": float(eps[j])}
-
+    evaluated = skipped = unresolved = 0
     hess_worst = -np.inf
     hess_witness = None
     validated = 0
-    gate = 0.3 * hessian_tol
-    for i in range(hessian_trials):
-        rng = streams.at(trials + i)
-        value = None
-        for _ in range(6):  # resample until the two-step estimates agree
-            x = _sample_one(field.domain, rng, boundary_bias=0.5, min_margin=hessian_margin)
-            if x is None:
-                continue
-            got = _validated_max_eig(field, x, gate)
-            if got is not None:
-                value = got
-                break
-        if value is None:
-            continue
-        validated += 1
-        if value > hess_worst:
-            hess_worst = value
-            hess_witness = x
+    mid_chunks, hess_chunks = _chunks(trials), _chunks(hessian_trials)
+    for c in range(max(len(mid_chunks), len(hess_chunks))):
+        # a chunk's midpoint and Hessian trials share the sampler's rounds
+        parts = [_Part(_PHASE_POINT, *mid_chunks[c])] if c < len(mid_chunks) else []
+        if c < len(hess_chunks):
+            parts.append(_Part(_PHASE_HESSIAN, *hess_chunks[c], 0.5, hessian_margin))
+        sampled = _sample(dom, draws, parts)
+        if c < len(mid_chunks):
+            xs, found = sampled.pop(0)
+            xs, dirs, res, eps = _midpoint_chunk(field, draws, mid_chunks[c][0], xs, found,
+                                                 directions)
+            resolved = res < np.inf
+            skipped += found.size - xs.shape[0]
+            unresolved += int(resolved.size - resolved.sum())
+            evaluated += int(resolved.any(axis=1).sum())
+            if res.size:
+                i, j = np.unravel_index(np.argmin(res), res.shape)
+                if res[i, j] < mid_worst:
+                    mid_worst = float(res[i, j])
+                    mid_witness = tuple(float(v) for v in xs[i])
+                    mid_extra = {"direction": tuple(float(v) for v in dirs[i, j]),
+                                 "eps": float(eps[i, j])}
+        if c < len(hess_chunks):
+            xs, found = sampled.pop(0)
+            values, points, done = _hessian_chunk(field, draws, hess_chunks[c][0], xs, found,
+                                                  0.3 * hessian_tol, hessian_margin)
+            validated += int(done.sum())
+            i = int(np.argmax(values))
+            if done[i] and values[i] > hess_worst:
+                hess_worst = float(values[i])
+                hess_witness = tuple(float(v) for v in points[i])
 
-    passed = bool(mid_worst >= -tol) and bool(hess_worst <= hessian_tol)
+    inconclusive = evaluated == 0 or (hessian_trials >= 1 and validated == 0)
+    passed = not inconclusive and bool(mid_worst >= -tol) and bool(hess_worst <= hessian_tol)
     witness = hess_witness if (mid_worst >= -tol and hess_worst > hessian_tol) else mid_witness
     return VerificationReport(
         passed=passed,
@@ -447,6 +539,10 @@ def concavity_scan(
             "hessian_trials": hessian_trials,
             "hessian_validated": validated,
             "hessian_witness": hess_witness,
+            "trials_evaluated": evaluated,
+            "trials_skipped": skipped,
+            "directions_unresolved": unresolved,
+            "inconclusive": inconclusive,
             "tol": tol,
             "hessian_tol": hessian_tol,
         },
@@ -525,8 +621,29 @@ class GuanCheckInput:
         return 1.0 / (self.op.k - self.s_l.l)
 
 
-def _contract(mat, vec):
-    return float(sum(mat[p][q] * vec[p] * vec[q] for p in range(len(vec)) for q in range(len(vec))))
+def _guan_terms(op, low, beta, delta, w, v):
+    """Residuals of both quotient-concavity inequalities for rows of
+    diagonal curvature tensors w (m, n) and derivative vectors v (m, n).
+
+    Returns (residual_1, residual_2, a_q, Q(W), S_l(W)), each shape (m,);
+    Q, S_l, their gradients and Hessians are evaluated once per row.
+    """
+    qv = q_eval_batch(op, w)
+    sv = q_eval_batch(low, w)
+    if np.any(qv == 0.0) or np.any(sv == 0.0):
+        raise SingularityError("Q(W) or S_l(W) vanishes")
+    a_q = np.einsum("mp,mpq,mq->m", v, q_hess_batch(op, w), v)
+    a_s = np.einsum("mp,mpq,mq->m", v, q_hess_batch(low, w), v)
+    dq = np.sum(q_grad_batch(op, w) * v, axis=-1)
+    ds = np.sum(q_grad_batch(low, w) * v, axis=-1)
+    gq = dq / qv
+    gs = ds / sv
+
+    lhs1 = -a_q / qv + a_s / sv
+    rhs1 = (gq - gs) * ((beta - 1.0) * gq - (beta + 1.0) * gs)
+    lhs2 = -a_q + (1.0 - beta + beta / delta) * dq * dq / qv
+    rhs2 = qv * (beta + 1.0 - delta * beta) * gs * gs - (qv / sv) * a_s
+    return lhs1 - rhs1, lhs2 - rhs2, a_q, qv, sv
 
 
 def guan_inequality_check(inp):
@@ -537,63 +654,45 @@ def guan_inequality_check(inp):
     Returns (residual_1, residual_2); residual_1 >= 0 is the certified
     direction, residual_2 is reported for inspection.
     """
-    w = inp.w_diag
-    v = [float(t) for t in inp.w_vec]
-    op = inp.op
-    low = inp.s_l.as_operator()
-    beta = inp.beta
-    delta = float(inp.delta)
-
-    qv = float(q_eval(op, w))
-    sv = float(q_eval(low, w))
-    if qv == 0.0 or sv == 0.0:
-        raise SingularityError("Q(W) or S_l(W) vanishes")
-    a_q = _contract(q_hess(op, w), v)
-    a_s = _contract(q_hess(low, w), v)
-    dq = float(sum(g * t for g, t in zip(q_grad(op, w), v)))
-    ds = float(sum(g * t for g, t in zip(q_grad(low, w), v)))
-    gq = dq / qv
-    gs = ds / sv
-
-    lhs1 = -a_q / qv + a_s / sv
-    rhs1 = (gq - gs) * ((beta - 1.0) * gq - (beta + 1.0) * gs)
-    lhs2 = -a_q + (1.0 - beta + beta / delta) * dq * dq / qv
-    rhs2 = qv * (beta + 1.0 - delta * beta) * gs * gs - (qv / sv) * a_s
-    return lhs1 - rhs1, lhs2 - rhs2
+    w = np.array([[float(t) for t in inp.w_diag]])
+    v = np.array([[float(t) for t in inp.w_vec]])
+    r1, r2, _, _, _ = _guan_terms(inp.op, inp.s_l.as_operator(), inp.beta,
+                                  float(inp.delta), w, v)
+    return float(r1[0]), float(r2[0])
 
 
 def guan_scan(op, s_l, trials, seed, delta=1.0, tol=1e-9, w_scale=1.0):
     """Randomized scan of the first quotient-concavity inequality.
 
     Samples W in Gamma_k and normal derivative vectors; worst_value is the
-    minimum of residual_1 / (1 + |lhs| + |rhs|).  The second inequality's
-    worst normalized residual is reported in details, not asserted.
+    minimum of residual_1 / (1 + |a_q / Q| + |residual_1|), with a_q the
+    Hessian of Q contracted with the derivative vector.  The second
+    inequality's worst normalized residual is reported in details, not
+    asserted.
     """
     cone = ConeSpec("garding", op.n, op.k)
+    low = s_l.as_operator()
+    beta = 1.0 / (op.k - s_l.l)
+    draws = _Draws(seed)
     worst1 = np.inf
     worst2 = np.inf
     witness = None
     extra = None
-    streams = _TrialStreams(seed)
-    for i in range(trials):
-        rng = streams.at(i)
-        w = _sample_one(cone, rng)
-        if w is None:
+    for start, m in _chunks(trials):
+        [(w, found)] = _sample(cone, draws, [_Part(_PHASE_POINT, start, m)])
+        v = _normal_chunk(draws, _PHASE_NORMAL, start, m, op.n)
+        w, v = w[found], v[found] * (w_scale * (1.0 + np.max(np.abs(w[found]), axis=1)))[:, None]
+        if w.shape[0] == 0:
             continue
-        v = tuple(rng.normal(size=op.n) * w_scale * (1.0 + max(abs(t) for t in w)))
-        inp = GuanCheckInput(w_diag=w, w_vec=v, op=op, s_l=s_l, delta=delta)
-        r1, r2 = guan_inequality_check(inp)
-        qv = float(q_eval(op, w))
-        sv = float(q_eval(s_l.as_operator(), w))
-        a_q = _contract(q_hess(op, w), list(v))
-        scale1 = 1.0 + abs(a_q / qv) + abs(r1)
-        n1 = r1 / scale1
-        n2 = r2 / (1.0 + abs(a_q) + abs(r2) + qv * qv / max(sv, 1e-300))
-        if n1 < worst1:
-            worst1 = n1
-            witness = w
-            extra = {"w_vec": v, "delta": delta}
-        worst2 = min(worst2, n2)
+        r1, r2, a_q, qv, sv = _guan_terms(op, low, beta, float(delta), w, v)
+        n1 = r1 / (1.0 + np.abs(a_q / qv) + np.abs(r1))
+        n2 = r2 / (1.0 + np.abs(a_q) + np.abs(r2) + qv * qv / np.maximum(sv, 1e-300))
+        i = int(np.argmin(n1))
+        if n1[i] < worst1:
+            worst1 = float(n1[i])
+            witness = tuple(float(t) for t in w[i])
+            extra = {"w_vec": tuple(float(t) for t in v[i]), "delta": delta}
+        worst2 = min(worst2, float(n2.min()))
     return VerificationReport(
         passed=bool(worst1 >= -tol),
         trials=trials,

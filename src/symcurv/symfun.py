@@ -230,12 +230,28 @@ def sigma_all_batch(values, upto):
 
     values has shape (..., n); returns shape (..., upto+1), float dtype.
     """
+    cols = _entry_major(values)
+    e = _sigma_rows(cols, upto)
+    return np.ascontiguousarray(e.transpose(tuple(range(1, e.ndim)) + (0,)))
+
+
+def _entry_major(values):
+    """View of a (..., n) float array with the entry axis first: (n, ...)."""
     arr = np.asarray(values, dtype=float)
-    n = arr.shape[-1]
-    e = np.zeros(arr.shape[:-1] + (upto + 1,), dtype=float)
-    e[..., 0] = 1.0
-    for i in range(n):
-        x = arr[..., i]
-        for j in range(min(i + 1, upto), 0, -1):
-            e[..., j] += x * e[..., j - 1]
+    d = arr.ndim - 1
+    return arr.transpose((d,) + tuple(range(d)))
+
+
+def _sigma_rows(cols, upto):
+    """sigma_0..sigma_upto of entry-major values cols (n, ...): shape (upto+1, ...).
+
+    Working entry-major, every step of the recurrence reads and writes
+    contiguous rows."""
+    e = np.zeros((upto + 1,) + cols.shape[1:])
+    e[0] = 1.0
+    for i in range(cols.shape[0]):
+        top = min(i + 1, upto)
+        # one product-recurrence step for all j at once; the right-hand side
+        # reads the previous step's values, as the descending scalar loop does
+        e[1: top + 1] += cols[i] * e[:top]
     return e

@@ -90,3 +90,36 @@ def fd_jacobian_dense(f, x, steps):
         e[j] = steps[j]
         out[:, j] = (np.asarray(f(x + e), dtype=float) - fx) / steps[j]
     return out
+
+
+def in_cone_exact(kind, point, k, alpha=0):
+    """Strict membership of the exact rational value of a float point:
+    sigma_1..sigma_k > 0 for Gamma_k ('garding'); sigma_1..sigma_{k-1} > 0
+    and alpha*sigma_{k-1} + sigma_k > 0 for Gamma~_k ('tilde')."""
+    from fractions import Fraction
+
+    lam = [Fraction(v) for v in point]
+    sig = [elem_sym_enumerate(lam, m) for m in range(k + 1)]
+    if kind == "garding":
+        return all(s > 0 for s in sig[1:])
+    return all(s > 0 for s in sig[1:k]) and Fraction(alpha) * sig[k - 1] + sig[k] > 0
+
+
+def normalized_margin_exact(kind, point, k, alpha=0):
+    """The cone margin of a float point over its exact rational value:
+    min over m of sigma_m / (C(n,m) max|x|^m) (m = 1..k for Gamma_k,
+    m = 1..k-1 and the alpha*sigma_{k-1} + sigma_k quotient for Gamma~_k)."""
+    from fractions import Fraction
+    from math import comb
+
+    lam = [Fraction(v) for v in point]
+    n, top = len(lam), max(abs(v) for v in lam)
+    if top == 0:
+        return Fraction(0)
+    sig = [elem_sym_enumerate(lam, m) for m in range(k + 1)]
+    upto = k if kind == "garding" else k - 1
+    qs = [sig[m] / (comb(n, m) * top**m) for m in range(1, upto + 1)]
+    if kind == "tilde":
+        a = Fraction(alpha)
+        qs.append((a * sig[k - 1] + sig[k]) / (comb(n, k) * top**k + a * comb(n, k - 1) * top ** (k - 1)))
+    return min(qs)

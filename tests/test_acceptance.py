@@ -11,7 +11,7 @@ import numpy as np
 
 from symcurv import concave, cones, geomsolve as gs, hypcheck
 from symcurv.combop import OperatorSpec, lower_operator
-from symcurv.cones import ConeSpec, trial_rng, _sample_one, _TrialStreams
+from symcurv.cones import ConeSpec, trial_rng, _sample_one
 
 
 def _report(num, passed, detail):
@@ -112,12 +112,11 @@ def test_criterion_03_concavity_suites():
 def test_criterion_04_q1_closed_form():
     t0 = time.time()
     spec = ConeSpec("garding", 3, 1)
-    streams = _TrialStreams(404)
     worst = 0.0
     done = 0
     trial = 0
     while done < 10_000:
-        rng = streams.at(trial)
+        rng = trial_rng(404, trial)
         trial += 1
         lam = _sample_one(spec, rng)
         alpha = float(rng.uniform(0.0, 3.0))

@@ -100,6 +100,30 @@ def test_quotient_field_on_shrunken_domain():
     assert rep_big.passed
 
 
+def test_concavity_scan_without_evidence_is_inconclusive():
+    # no Hessian probe validates at this margin: the scan must not pass
+    rep = concave.concavity_scan(concave.sum_root_field(3, 2, 1.0), 200, seed=1,
+                                 hessian_trials=50, hessian_margin=0.99)
+    assert rep.details["hessian_validated"] == 0
+    assert rep.details["inconclusive"] and not rep.passed
+    assert str(rep).startswith("FAIL (inconclusive)")
+    assert rep.details["trials_evaluated"] == 200
+    # no midpoint trial at all
+    rep = concave.concavity_scan(concave.sum_root_field(3, 2, 1.0), 0, seed=1)
+    assert rep.details["trials_evaluated"] == 0
+    assert rep.details["inconclusive"] and not rep.passed
+
+
+def test_concavity_scan_counts_evidence():
+    rep = concave.concavity_scan(concave.quotient_qk_field(4, 2, 1.0), 300, seed=2,
+                                 hessian_trials=30)
+    d = rep.details
+    assert rep.passed and not d["inconclusive"]
+    assert d["trials_evaluated"] + d["trials_skipped"] == 300
+    assert d["directions_unresolved"] <= 4 * d["trials_evaluated"]
+    assert 1 <= d["hessian_validated"] <= 30
+
+
 def test_scan_requires_domain():
     fld = concave.ScalarField("free", 2, lambda x: x[0])
     with pytest.raises(DomainError):
