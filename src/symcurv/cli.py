@@ -18,21 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DomainError, SymcurvError
+from .errors import ConfigError, DomainError, SymcurvError
 from .combop import OperatorSpec, lower_operator
 from .cones import ConeSpec, segment_convexity_check, ellipticity_scan
 from . import concave, geomsolve, hypcheck
-
-COMMANDS = (
-    "check-condition-c",
-    "check-condition-q",
-    "check-cone",
-    "verify-concavity",
-    "verify-guan",
-    "solve",
-    "homotopy",
-    "barrier-check",
-)
 
 # section -> key -> parser
 _SCHEMA = {
@@ -153,8 +142,7 @@ def parse_config(text):
 
 
 def _validate_for_command(cfg):
-    needs_operator = cfg.command in COMMANDS  # every command references Q
-    if needs_operator and cfg.operator is None:
+    if cfg.operator is None:
         raise ConfigError(f"command {cfg.command!r} needs an [operator] section")
     op = cfg.operator
     for key in ("n", "k", "alphas"):
@@ -168,11 +156,10 @@ def _validate_for_command(cfg):
         raise ConfigError(f"command {cfg.command!r} needs a [grid] section")
     if cfg.command in ("solve", "homotopy", "barrier-check") and cfg.psi is None:
         raise ConfigError(f"command {cfg.command!r} needs a [psi] section")
-    if cfg.command == "verify-concavity" and "field" not in cfg.verify:
-        raise ConfigError("verify-concavity needs 'field' in [verify]")
-    if cfg.command in ("homotopy", "barrier-check"):
-        if "r1" not in cfg.verify:
-            raise ConfigError(f"{cfg.command} needs 'r1' in [verify]")
+    needed = {"verify-concavity": ("field",), "homotopy": ("r1", "r2"), "barrier-check": ("r1",)}
+    for key in needed.get(cfg.command, ()):
+        if key not in cfg.verify:
+            raise ConfigError(f"{cfg.command} needs {key!r} in [verify]")
 
 
 def _operator(cfg):
@@ -214,7 +201,6 @@ def _write_report_csv(out_dir, rows):
 
 def _write_witness(out_dir, payload):
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "witness.json")
 
     def default(obj):
         if isinstance(obj, Fraction):
@@ -227,14 +213,8 @@ def _write_witness(out_dir, payload):
             return obj.tolist()
         return str(obj)
 
-    with open(path, "w") as fh:
+    with open(os.path.join(out_dir, "witness.json"), "w") as fh:
         json.dump(payload, fh, indent=2, default=default, sort_keys=True)
-    return path
-
-
-def _report_line(name, rep):
-    tag = "PASS" if rep.passed else "FAIL"
-    print(f"{name:<28} {tag}  trials={rep.trials:<8d} worst={rep.worst_value: .6e}")
 
 
 def _field_from_config(cfg, op):
@@ -263,188 +243,170 @@ def _field_from_config(cfg, op):
     raise ConfigError(f"unknown field {kind!r}")
 
 
-def execute(cfg):
-    """Run the configured command; returns the process exit code."""
-    _echo(cfg)
-    out = cfg.output_dir
-    op = _operator(cfg)
-    rows = []
+def _operator_json(op):
+    return {"n": op.n, "k": op.k, "alphas": [str(a) for a in op.alphas]}
 
-    if cfg.command == "check-condition-c":
-        rep = hypcheck.check_condition_c(op)
-        print(f"alpha' = ({', '.join(str(a) for a in rep.alphas_prime)})")
-        print(str(rep))
-        rows.append(("condition-c", 1, 0.0 if rep.all_real else -1.0, rep.all_real))
-        _write_report_csv(out, rows)
-        if not rep.all_real:
-            _write_witness(out, {
-                "command": cfg.command,
-                "operator": {"n": op.n, "k": op.k, "alphas": [str(a) for a in op.alphas]},
-                "complex_roots": list(rep.failure_witness),
-            })
-            return 1
-        return 0
 
-    if cfg.command == "check-condition-q":
-        c_rep = hypcheck.check_condition_c(op)
-        if not c_rep.all_real:
-            print(str(c_rep))
-            rows.append(("condition-c", 1, -1.0, False))
-            _write_report_csv(out, rows)
-            _write_witness(out, {
-                "command": cfg.command,
-                "operator": {"n": op.n, "k": op.k, "alphas": [str(a) for a in op.alphas]},
-                "complex_roots": list(c_rep.failure_witness),
-            })
-            return 1
-        rep = hypcheck.check_condition_q(op, cfg.trials, cfg.seed,
-                                         hessian_trials=cfg.verify.get("hessian_trials"))
-        _report_line("condition-q", rep)
-        rows.append(("condition-q", rep.trials, rep.worst_value, rep.passed))
-        _write_report_csv(out, rows)
-        if not rep.passed:
-            _write_witness(out, {"command": cfg.command, "witness": rep.witness,
-                                 "operator": {"n": op.n, "k": op.k,
-                                              "alphas": [str(a) for a in op.alphas]}})
-            return 1
-        return 0
+def _replay(cfg, op, exc):
+    """Witness of a failed solve: the error and the inputs that replay it."""
+    return {"error": str(exc), "operator": _operator_json(op), "psi": cfg.psi,
+            "grid": cfg.grid, "seed": cfg.seed, "verify": cfg.verify}
 
-    if cfg.command == "check-cone":
-        kind = cfg.verify.get("cone", "tilde")
-        alpha = float(op.sum_type_alpha or 0.0)
-        spec = ConeSpec(kind, op.n, op.k, alpha)
-        conv = segment_convexity_check(spec, cfg.trials, cfg.seed)
-        elli = ellipticity_scan(op, spec, cfg.trials, cfg.seed)
-        _report_line("cone-convexity", conv)
-        _report_line("ellipticity", elli)
-        rows.append(("cone-convexity", conv.trials, conv.worst_value, conv.passed))
-        rows.append(("ellipticity", elli.trials, elli.worst_value, elli.passed))
-        _write_report_csv(out, rows)
-        if not (conv.passed and elli.passed):
-            bad = conv if not conv.passed else elli
-            _write_witness(out, {"command": cfg.command, "witness": bad.witness,
-                                 "extra": bad.witness_extra})
-            return 1
-        return 0
 
-    if cfg.command == "verify-concavity":
-        fld = _field_from_config(cfg, op)
-        rep = concave.concavity_scan(fld, cfg.trials, cfg.seed,
-                                     hessian_trials=cfg.verify.get("hessian_trials"))
-        _report_line(fld.name, rep)
-        rows.append((f"concavity:{fld.name}", rep.trials, rep.worst_value, rep.passed))
-        _write_report_csv(out, rows)
-        if not rep.passed:
-            _write_witness(out, {"command": cfg.command, "field": fld.name,
-                                 "witness": rep.witness, "extra": rep.witness_extra,
-                                 "hessian_witness": rep.details.get("hessian_witness")})
-            return 1
-        return 0
+def _scan_row(name, rep, prop=None):
+    """Print a scan's report line; returns its report.csv row."""
+    tag = "PASS" if rep.passed else "FAIL"
+    print(f"{name:<28} {tag}  trials={rep.trials:<8d} worst={rep.worst_value: .6e}")
+    return (prop or name, rep.trials, rep.worst_value, rep.passed)
 
-    if cfg.command == "verify-guan":
-        c_rep = hypcheck.check_condition_c(op)
-        if not c_rep.all_real:
-            print(str(c_rep))
-            _write_report_csv(out, [("condition-c", 1, -1.0, False)])
-            return 1
-        l = cfg.verify.get("l", op.k - 1)
-        s_l = lower_operator(op, c_rep.witness, l, c_rep.N)
-        rep = concave.guan_scan(op, s_l, cfg.trials, cfg.seed,
-                                delta=cfg.verify.get("delta", 1.0))
-        _report_line(f"guan-inequality l={l}", rep)
-        rows.append((f"guan-inequality:l={l}", rep.trials, rep.worst_value, rep.passed))
-        _write_report_csv(out, rows)
-        if not rep.passed:
-            _write_witness(out, {"command": cfg.command, "witness": rep.witness,
-                                 "extra": rep.witness_extra})
-            return 1
-        return 0
 
+def _condition_c(op):
+    """The exact condition-C report, and the (rows, witness) that refute the
+    operator when it fails (None when it passes)."""
+    rep = hypcheck.check_condition_c(op)
+    if rep.all_real:
+        return rep, None
+    return rep, ([("condition-c", 1, -1.0, False)],
+                 {"operator": _operator_json(op), "complex_roots": list(rep.failure_witness)})
+
+
+def _solver_inputs(cfg, op):
     psi = _psi(cfg, op)
-
-    if cfg.command == "barrier-check":
-        rep = geomsolve.barrier_check(psi, op, cfg.verify["r1"], cfg.verify.get("r2"))
-        _report_line("barrier", rep)
-        rows.append(("barrier", rep.trials, rep.worst_value, rep.passed))
-        _write_report_csv(out, rows)
-        if not rep.passed:
-            _write_witness(out, {"command": cfg.command, "witness": rep.witness,
-                                 "details": rep.details})
-            return 1
-        return 0
-
     grid = geomsolve.SphereGrid(cfg.grid["n_lon"], cfg.grid["n_lat"])
-    opts = geomsolve.SolveOptions(tol=cfg.tol)
+    return psi, grid, geomsolve.SolveOptions(tol=cfg.tol)
 
-    if cfg.command == "solve":
-        rho0 = cfg.verify.get("init_rho", 1.0)
-        noise = cfg.verify.get("init_noise", 0.0)
-        if noise:
-            initial = geomsolve.perturbed_sphere(grid, rho0, noise, cfg.seed)
-        else:
-            initial = geomsolve.RadialSurfaceField.sphere(grid, rho0)
-        try:
-            surface, diag = geomsolve.newton_solve(initial, op, psi, opts)
-        except (ConvergenceError, SymcurvError) as exc:
-            print(f"solve failed: {exc}")
-            rows.append(("solve", 0, -1.0, False))
-            _write_report_csv(out, rows)
-            _write_witness(out, {"command": cfg.command, "error": str(exc),
-                                 "operator": {"n": op.n, "k": op.k,
-                                              "alphas": [str(a) for a in op.alphas]},
-                                 "psi": cfg.psi, "grid": cfg.grid,
-                                 "seed": cfg.seed, "verify": cfg.verify})
-            return 1
-        res_norm = diag.iterations[-1][0]
-        print(f"converged in {diag.n_iter - 1} iterations, residual {res_norm:.3e}")
-        os.makedirs(out, exist_ok=True)
-        geomsolve.write_solution_csv(os.path.join(out, "solution.csv"), surface, op, psi)
-        record = geomsolve.curvature_monitor(surface)
-        print(f"max kappa1 = {record['max_kappa1']:.6f}  min support = "
-              f"{record['min_support']:.6f}  convex = {record['is_convex']}")
-        rows.append(("solve", diag.n_iter, res_norm, True))
-        _write_report_csv(out, rows)
+
+# Each handler runs one command and returns (rows, witness): the report.csv
+# rows, and the witness.json payload when the property is refuted or the
+# solve fails (None otherwise).
+
+def _check_condition_c(cfg, op):
+    rep, refuted = _condition_c(op)
+    print(f"alpha' = ({', '.join(str(a) for a in rep.alphas_prime)})")
+    print(str(rep))
+    return refuted or ([("condition-c", 1, 0.0, True)], None)
+
+
+def _check_condition_q(cfg, op):
+    c_rep, refuted = _condition_c(op)
+    if refuted:
+        print(str(c_rep))
+        return refuted
+    rep = hypcheck.check_condition_q(op, cfg.trials, cfg.seed,
+                                     hessian_trials=cfg.verify.get("hessian_trials"))
+    rows = [_scan_row("condition-q", rep)]
+    return rows, None if rep.passed else {"witness": rep.witness, "operator": _operator_json(op)}
+
+
+def _check_cone(cfg, op):
+    spec = ConeSpec(cfg.verify.get("cone", "tilde"), op.n, op.k, float(op.sum_type_alpha or 0.0))
+    conv = segment_convexity_check(spec, cfg.trials, cfg.seed)
+    elli = ellipticity_scan(op, spec, cfg.trials, cfg.seed)
+    rows = [_scan_row("cone-convexity", conv), _scan_row("ellipticity", elli)]
+    if conv.passed and elli.passed:
+        return rows, None
+    bad = conv if not conv.passed else elli
+    return rows, {"witness": bad.witness, "extra": bad.witness_extra}
+
+
+def _verify_concavity(cfg, op):
+    fld = _field_from_config(cfg, op)
+    rep = concave.concavity_scan(fld, cfg.trials, cfg.seed,
+                                 hessian_trials=cfg.verify.get("hessian_trials"))
+    rows = [_scan_row(fld.name, rep, f"concavity:{fld.name}")]
+    return rows, None if rep.passed else {
+        "field": fld.name, "witness": rep.witness, "extra": rep.witness_extra,
+        "hessian_witness": rep.details.get("hessian_witness")}
+
+
+def _verify_guan(cfg, op):
+    c_rep, refuted = _condition_c(op)
+    if refuted:
+        print(str(c_rep))
+        return refuted
+    l = cfg.verify.get("l", op.k - 1)
+    s_l = lower_operator(op, c_rep.witness, l, c_rep.N)
+    rep = concave.guan_scan(op, s_l, cfg.trials, cfg.seed, delta=cfg.verify.get("delta", 1.0))
+    rows = [_scan_row(f"guan-inequality l={l}", rep, f"guan-inequality:l={l}")]
+    return rows, None if rep.passed else {"witness": rep.witness, "extra": rep.witness_extra}
+
+
+def _barrier_check(cfg, op):
+    rep = geomsolve.barrier_check(_psi(cfg, op), op, cfg.verify["r1"], cfg.verify.get("r2"))
+    rows = [_scan_row("barrier", rep)]
+    return rows, None if rep.passed else {"witness": rep.witness, "details": rep.details}
+
+
+def _solve(cfg, op):
+    psi, grid, opts = _solver_inputs(cfg, op)
+    rho0 = cfg.verify.get("init_rho", 1.0)
+    noise = cfg.verify.get("init_noise", 0.0)
+    if noise:
+        initial = geomsolve.perturbed_sphere(grid, rho0, noise, cfg.seed)
+    else:
+        initial = geomsolve.RadialSurfaceField.sphere(grid, rho0)
+    try:
+        surface, diag = geomsolve.newton_solve(initial, op, psi, opts)
+    except SymcurvError as exc:
+        print(f"solve failed: {exc}")
+        return [("solve", 0, -1.0, False)], _replay(cfg, op, exc)
+    res_norm = diag.iterations[-1][0]
+    print(f"converged in {diag.n_iter - 1} iterations, residual {res_norm:.3e}")
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    geomsolve.write_solution_csv(os.path.join(cfg.output_dir, "solution.csv"), surface, op, psi)
+    record = geomsolve.curvature_monitor(surface)
+    print(f"max kappa1 = {record['max_kappa1']:.6f}  min support = "
+          f"{record['min_support']:.6f}  convex = {record['is_convex']}")
+    return [("solve", diag.n_iter, res_norm, True)], None
+
+
+def _homotopy(cfg, op):
+    psi, grid, opts = _solver_inputs(cfg, op)
+    r1, r2 = cfg.verify["r1"], cfg.verify["r2"]
+    barrier = geomsolve.barrier_check(psi, op, r1, r2)
+    rows = [_scan_row("barrier", barrier)]
+    if not barrier.passed:
+        return rows, {"witness": barrier.witness, "details": barrier.details}
+    h_eps = cfg.verify.get("homotopy_eps", 1e-2)
+    try:
+        path = geomsolve.homotopy_solve(op, psi, grid, r1, r2, steps=cfg.verify.get("steps", 20),
+                                        eps=h_eps, opts=opts, check_barrier=False)
+    except SymcurvError as exc:
+        print(f"continuation failed: {exc}")
+        return rows + [("homotopy", 0, -1.0, False)], _replay(cfg, op, exc)
+    _, summary = geomsolve.monitor_path(path)
+    final_res = path.final_diagnostics.iterations[-1][0]
+    print(f"continuation reached t=1 in {len(path.ts)} accepted steps; "
+          f"final residual {final_res:.3e}")
+    print(f"max-over-path kappa1 = {summary['max_kappa1']:.6f}  "
+          f"min support = {summary['min_support']:.6f}")
+    geomsolve.write_path_csv(cfg.output_dir, path, op, psi, h_eps)
+    return rows + [("homotopy", len(path.ts), final_res, True)], None
+
+
+_HANDLERS = {
+    "check-condition-c": _check_condition_c,
+    "check-condition-q": _check_condition_q,
+    "check-cone": _check_cone,
+    "verify-concavity": _verify_concavity,
+    "verify-guan": _verify_guan,
+    "solve": _solve,
+    "homotopy": _homotopy,
+    "barrier-check": _barrier_check,
+}
+COMMANDS = tuple(_HANDLERS)
+
+
+def execute(cfg):
+    """Run the configured command; returns the process exit code: 0 when
+    the property holds or the solve converges, 1 when a witness is written."""
+    _echo(cfg)
+    rows, witness = _HANDLERS[cfg.command](cfg, _operator(cfg))
+    _write_report_csv(cfg.output_dir, rows)
+    if witness is None:
         return 0
-
-    if cfg.command == "homotopy":
-        r1, r2 = cfg.verify["r1"], cfg.verify.get("r2")
-        if r2 is None:
-            raise ConfigError("homotopy needs 'r2' in [verify]")
-        barrier = geomsolve.barrier_check(psi, op, r1, r2)
-        _report_line("barrier", barrier)
-        rows.append(("barrier", barrier.trials, barrier.worst_value, barrier.passed))
-        if not barrier.passed:
-            _write_report_csv(out, rows)
-            _write_witness(out, {"command": cfg.command, "witness": barrier.witness,
-                                 "details": barrier.details})
-            return 1
-        steps = cfg.verify.get("steps", 20)
-        h_eps = cfg.verify.get("homotopy_eps", 1e-2)
-        try:
-            path = geomsolve.homotopy_solve(op, psi, grid, r1, r2, steps=steps,
-                                            eps=h_eps, opts=opts, check_barrier=False)
-        except (ConvergenceError, SymcurvError) as exc:
-            print(f"continuation failed: {exc}")
-            rows.append(("homotopy", 0, -1.0, False))
-            _write_report_csv(out, rows)
-            _write_witness(out, {"command": cfg.command, "error": str(exc),
-                                 "operator": {"n": op.n, "k": op.k,
-                                              "alphas": [str(a) for a in op.alphas]},
-                                 "psi": cfg.psi, "grid": cfg.grid,
-                                 "seed": cfg.seed, "verify": cfg.verify})
-            return 1
-        _, summary = geomsolve.monitor_path(path)
-        final_res = path.final_diagnostics.iterations[-1][0]
-        print(f"continuation reached t=1 in {len(path.ts)} accepted steps; "
-              f"final residual {final_res:.3e}")
-        print(f"max-over-path kappa1 = {summary['max_kappa1']:.6f}  "
-              f"min support = {summary['min_support']:.6f}")
-        geomsolve.write_path_csv(out, path, op, psi, h_eps)
-        rows.append(("homotopy", len(path.ts), final_res, True))
-        _write_report_csv(out, rows)
-        return 0
-
-    raise ConfigError(f"unhandled command {cfg.command!r}")
+    _write_witness(cfg.output_dir, {"command": cfg.command, **witness})
+    return 1
 
 
 def main(argv=None):

@@ -31,6 +31,7 @@ __all__ = [
     "shifted_profile",
     "profile_roots",
     "lower_operator",
+    "alpha_prime",
 ]
 
 
@@ -308,7 +309,7 @@ def lower_operator(op, b, l, n_prime):
         raise DomainError(f"n_prime={n_prime} out of range 0..{len(bv)}")
     if any(x < 0 for x in bv):
         raise DomainError("witness entries must be nonnegative")
-    _check_witness(op, bv)
+    _check_witness(bv, alpha_prime(op), op.k)
     n = op.n
     prefix = bv[:n_prime]
     eb = sigma_all(prefix, min(l, len(prefix))) if prefix else [1]
@@ -323,20 +324,32 @@ def lower_operator(op, b, l, n_prime):
     return LowerOperatorSpec(base=op, l=l, n_prime=n_prime, coeffs=tuple(coeffs))
 
 
-def _check_witness(op, bv):
-    # sigma_m(b) must reproduce the operator's transformed coefficients
-    from .hypcheck import alpha_prime  # deferred: hypcheck imports this module
+def alpha_prime(op):
+    """Transformed coefficients alpha'_m = (n-k)! alpha_{k-m} / (n-k+m)!, exact.
 
-    target = alpha_prime(op)
-    eb = sigma_all(bv, min(op.k, len(bv))) + [0] * max(0, op.k - len(bv))
-    exact = all(_is_exact(x) for x in bv)
-    for m in range(op.k + 1):
-        got, want = eb[m], target[m]
+    Float coefficients are taken at their exact binary value.
+    """
+    n, k = op.n, op.k
+    base = factorial(n - k)
+    return tuple(
+        Fraction(op.alphas[k - m]) * base / factorial(n - k + m) for m in range(k + 1)
+    )
+
+
+def _check_witness(b, alphas_prime, k):
+    """Raise DomainError unless sigma_m(b) = alpha'_m for m = 0..k (entries
+    missing from alphas_prime are 0): exactly when b is exact, else within
+    1e-9 relative."""
+    eb = sigma_all(b, min(k, len(b))) + [0] * max(0, k - len(b))
+    exact = all(_is_exact(x) for x in b)
+    for m in range(k + 1):
+        got = eb[m]
+        want = alphas_prime[m] if m < len(alphas_prime) else Fraction(0)
         if exact:
             ok = Fraction(got) == want
         else:
             ok = abs(float(got) - float(want)) <= 1e-9 * (1.0 + abs(float(want)))
         if not ok:
             raise DomainError(
-                f"inconsistent witness: sigma_{m}(b) = {got} but transform coefficient is {want}"
+                f"inconsistent witness: sigma_{m}(b) = {got} but alpha'_{m} = {want}"
             )

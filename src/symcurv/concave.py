@@ -22,11 +22,9 @@ from .combop import (
     OperatorSpec,
     LowerOperatorSpec,
     _pairs,
-    q_eval,
     q_eval_batch,
     q_grad_batch,
     q_hess_batch,
-    quotient_q,
 )
 from .cones import (
     ConeSpec,
@@ -39,6 +37,7 @@ from .cones import (
     _Draws,
     _Part,
     _chunks,
+    _evidence_report,
     _pass_rounds,
     _normal_chunk,
     _sample,
@@ -68,18 +67,29 @@ _EPS = float(np.finfo(float).eps)
 class ScalarField:
     """A named scalar function with its domain cone (None = all of R^n).
 
-    batch_fn, when provided, evaluates an (m, n) array of points at once;
-    otherwise batches fall back to a Python loop over fn.
+    values(points) is the one evaluation path.  batch_fn maps an (m, n)
+    array to m values; the catalog fields below are built from this batch
+    kernel alone.  A hand-written field may give a scalar fn instead, which
+    values applies row by row.  Calling the field evaluates one point
+    through values and raises SingularityError where the value is not
+    finite.
     """
 
     name: str
     n: int
-    fn: object
+    fn: object = None
     domain: ConeSpec = None
     batch_fn: object = None
 
     def __call__(self, x):
-        return self.fn(x)
+        point = as_tuple(x)
+        if len(point) != self.n:
+            raise DomainError(f"field expects n={self.n}, got {len(point)}")
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            value = float(self.values([point])[0])
+        if not np.isfinite(value):
+            raise SingularityError(f"{self.name} is not finite at {point}")
+        return value
 
     def contains(self, x):
         return self.domain is None or cone_contains(self.domain, x)
@@ -102,11 +112,13 @@ class ScalarField:
 # field catalog
 
 def quotient_qk_field(n, k, alpha, domain=None):
-    """Sum-type quotient q_k = (sigma_{k+1}+alpha*sigma_k)/(sigma_k+alpha*sigma_{k-1}).
+    """Sum-type quotient q_k = (sigma_{k+1}+alpha*sigma_k)/(sigma_k+alpha*sigma_{k-1}),
+    1 <= k <= n-1.
 
     Default domain Gamma_k; pass e.g. Gamma_{k+1} to test the smaller domain.
     """
-    dom = domain or ConeSpec("garding", n, k)
+    if not 1 <= k <= n - 1:
+        raise DomainError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     a = float(alpha)
 
     def batch(pts):
@@ -116,8 +128,7 @@ def quotient_qk_field(n, k, alpha, domain=None):
     return ScalarField(
         name=f"q_{k}[alpha={alpha}]",
         n=n,
-        fn=lambda x: float(quotient_q(x, k, alpha)),
-        domain=dom,
+        domain=domain or ConeSpec("garding", n, k),
         batch_fn=batch,
     )
 
@@ -126,13 +137,6 @@ def sigma_over_q_field(n, k, alpha):
     """sigma_k / (sigma_k + alpha*sigma_{k-1}) on the admissible cone Gamma~_k."""
     a = float(alpha)
 
-    def fn(x):
-        e = sigma_all(as_tuple(x), k)
-        den = float(e[k] + alpha * e[k - 1])
-        if den == 0.0:
-            raise SingularityError("sum-type denominator vanishes")
-        return float(e[k]) / den
-
     def batch(pts):
         e = sigma_all_batch(pts, k)
         return e[..., k] / (e[..., k] + a * e[..., k - 1])
@@ -140,7 +144,6 @@ def sigma_over_q_field(n, k, alpha):
     return ScalarField(
         name=f"sigma_{k}/Q_S^{k}[alpha={alpha}]",
         n=n,
-        fn=fn,
         domain=ConeSpec("tilde", n, k, alpha),
         batch_fn=batch,
     )
@@ -153,14 +156,6 @@ def sum_ratio_field(n, k, l, alpha):
     a = float(alpha)
     power = 1.0 / (k - l)
 
-    def fn(x):
-        e = sigma_all(as_tuple(x), k)
-        num = float(e[k] + alpha * e[k - 1])
-        den = float(e[l] + alpha * e[l - 1])
-        if den <= 0.0 or num <= 0.0:
-            raise SingularityError("sum-type ratio not positive at this point")
-        return (num / den) ** power
-
     def batch(pts):
         e = sigma_all_batch(pts, k)
         return ((e[..., k] + a * e[..., k - 1]) / (e[..., l] + a * e[..., l - 1])) ** power
@@ -168,7 +163,6 @@ def sum_ratio_field(n, k, l, alpha):
     return ScalarField(
         name=f"(Q_S^{k}/Q_S^{l})^(1/{k - l})[alpha={alpha}]",
         n=n,
-        fn=fn,
         domain=ConeSpec("tilde", n, k, alpha),
         batch_fn=batch,
     )
@@ -178,13 +172,6 @@ def sum_root_field(n, k, alpha):
     """(Q_S^k)^(1/k) on Gamma~_k."""
     a = float(alpha)
 
-    def fn(x):
-        e = sigma_all(as_tuple(x), k)
-        v = float(e[k] + alpha * e[k - 1])
-        if v <= 0.0:
-            raise SingularityError("sum-type operator not positive at this point")
-        return v ** (1.0 / k)
-
     def batch(pts):
         e = sigma_all_batch(pts, k)
         return (e[..., k] + a * e[..., k - 1]) ** (1.0 / k)
@@ -192,37 +179,18 @@ def sum_root_field(n, k, alpha):
     return ScalarField(
         name=f"(Q_S^{k})^(1/{k})[alpha={alpha}]",
         n=n,
-        fn=fn,
         domain=ConeSpec("tilde", n, k, alpha),
         batch_fn=batch,
     )
 
 
-def _q_batch(op):
-    coeffs = np.array([float(a) for a in op.alphas])
-
-    def batch(pts):
-        return sigma_all_batch(pts, op.k) @ coeffs
-
-    return batch
-
-
 def root_q_field(op):
     """Q^(1/k) on Gamma_k."""
-    qb = _q_batch(op)
-
-    def fn(x):
-        v = float(q_eval(op, x))
-        if v <= 0.0:
-            raise SingularityError("operator not positive at this point")
-        return v ** (1.0 / op.k)
-
     return ScalarField(
         name=f"Q^(1/{op.k})",
         n=op.n,
-        fn=fn,
         domain=ConeSpec("garding", op.n, op.k),
-        batch_fn=lambda pts: qb(pts) ** (1.0 / op.k),
+        batch_fn=lambda pts: q_eval_batch(op, pts) ** (1.0 / op.k),
     )
 
 
@@ -232,21 +200,11 @@ def lower_quotient_field(op, lower):
         raise DomainError("lower must be a LowerOperatorSpec from combop.lower_operator")
     low_op = lower.as_operator()
     power = 1.0 / (op.k - lower.l)
-    qb, sb = _q_batch(op), _q_batch(low_op)
-
-    def fn(x):
-        num = float(q_eval(op, x))
-        den = float(q_eval(low_op, x))
-        if den <= 0.0 or num <= 0.0:
-            raise SingularityError("quotient not positive at this point")
-        return (num / den) ** power
-
     return ScalarField(
         name=f"(Q/Q^{lower.n_prime}_{lower.l})^(1/{op.k - lower.l})",
         n=op.n,
-        fn=fn,
         domain=ConeSpec("garding", op.n, op.k),
-        batch_fn=lambda pts: (qb(pts) / sb(pts)) ** power,
+        batch_fn=lambda pts: (q_eval_batch(op, pts) / q_eval_batch(low_op, pts)) ** power,
     )
 
 
@@ -668,7 +626,7 @@ def guan_scan(op, s_l, trials, seed, delta=1.0, tol=1e-9, w_scale=1.0):
     minimum of residual_1 / (1 + |a_q / Q| + |residual_1|), with a_q the
     Hessian of Q contracted with the derivative vector.  The second
     inequality's worst normalized residual is reported in details, not
-    asserted.
+    asserted.  A trial the sampler finds no point for is skipped.
     """
     cone = ConeSpec("garding", op.n, op.k)
     low = s_l.as_operator()
@@ -678,10 +636,12 @@ def guan_scan(op, s_l, trials, seed, delta=1.0, tol=1e-9, w_scale=1.0):
     worst2 = np.inf
     witness = None
     extra = None
+    evaluated = 0
     for start, m in _chunks(trials):
         [(w, found)] = _sample(cone, draws, [_Part(_PHASE_POINT, start, m)])
         v = _normal_chunk(draws, _PHASE_NORMAL, start, m, op.n)
         w, v = w[found], v[found] * (w_scale * (1.0 + np.max(np.abs(w[found]), axis=1)))[:, None]
+        evaluated += w.shape[0]
         if w.shape[0] == 0:
             continue
         r1, r2, a_q, qv, sv = _guan_terms(op, low, beta, float(delta), w, v)
@@ -693,12 +653,5 @@ def guan_scan(op, s_l, trials, seed, delta=1.0, tol=1e-9, w_scale=1.0):
             witness = tuple(float(t) for t in w[i])
             extra = {"w_vec": tuple(float(t) for t in v[i]), "delta": delta}
         worst2 = min(worst2, float(n2.min()))
-    return VerificationReport(
-        passed=bool(worst1 >= -tol),
-        trials=trials,
-        worst_value=float(worst1),
-        seed=seed,
-        witness=witness,
-        witness_extra=extra,
-        details={"second_inequality_worst": float(worst2), "delta": delta},
-    )
+    return _evidence_report(worst1, tol, trials, seed, evaluated, witness, extra,
+                            {"second_inequality_worst": float(worst2), "delta": delta})

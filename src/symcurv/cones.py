@@ -80,7 +80,10 @@ class VerificationReport:
 
     worst_value is the signed residual of the property (normalized so that
     nonnegative means satisfied); passed is worst_value >= -tol under the
-    scan's tolerance.  witness holds the worst-case sample.
+    scan's tolerance.  witness holds the worst-case sample.  The scans
+    count their evidence in details (trials_evaluated, trials_skipped); a
+    scan without evidence is inconclusive (details["inconclusive"]) and
+    does not pass.
     """
 
     passed: bool
@@ -390,12 +393,21 @@ def sample_cone(spec, count, seed, boundary_bias=0.8, min_margin=0.0):
     return out
 
 
-def _sample_all(spec, draws, parts, scan):
-    """The points of every trial of the parts; SamplingError if any is empty."""
-    out = _sample(spec, draws, parts)
-    if not all(found.all() for _, found in out):
-        raise SamplingError(f"cone sampling failed during {scan} scan")
-    return [points for points, _ in out]
+def _evidence_report(worst, tol, trials, seed, evaluated, witness=None, extra=None,
+                     details=None):
+    """Report of a scan that needs worst >= -tol over the trials it
+    evaluated; with none evaluated it is inconclusive and does not pass."""
+    inconclusive = evaluated == 0
+    return VerificationReport(
+        passed=not inconclusive and bool(worst >= -tol),
+        trials=trials,
+        worst_value=float(worst),
+        seed=seed,
+        witness=witness,
+        witness_extra=extra,
+        details={**(details or {}), "trials_evaluated": evaluated,
+                 "trials_skipped": trials - evaluated, "inconclusive": inconclusive},
+    )
 
 
 def segment_convexity_check(spec, trials, seed):
@@ -403,16 +415,23 @@ def segment_convexity_check(spec, trials, seed):
 
     Each trial draws two cone points and checks the 9 interior blends
     t = 0.1..0.9; the report's worst_value is the minimum margin seen
-    (convexity of the cone makes it positive).
+    (convexity of the cone makes it positive).  A trial the sampler finds
+    no pair of points for is skipped.
     """
     draws = _Draws(seed)
     worst = np.inf
     witness = None
     extra = None
+    evaluated = 0
     t = (np.arange(1, 10) / 10.0)[:, None]
     for start, m in _chunks(trials):
-        lam, mu = _sample_all(spec, draws, [_Part(_PHASE_POINT, start, m),
-                                            _Part(_PHASE_OTHER, start, m)], "convexity")
+        (lam, found), (mu, found_mu) = _sample(spec, draws, [_Part(_PHASE_POINT, start, m),
+                                                             _Part(_PHASE_OTHER, start, m)])
+        both = found & found_mu
+        lam, mu = lam[both], mu[both]
+        evaluated += lam.shape[0]
+        if not lam.shape[0]:
+            continue
         blends = t * lam[:, None, :] + (1 - t) * mu[:, None, :]
         margins = cone_margins_batch(spec, blends)
         i, j = np.unravel_index(np.argmin(margins), margins.shape)
@@ -421,14 +440,7 @@ def segment_convexity_check(spec, trials, seed):
             witness = tuple(float(v) for v in lam[i])
             extra = {"other_endpoint": tuple(float(v) for v in mu[i]), "t": float(t[j, 0]),
                      "blend": tuple(float(v) for v in blends[i, j])}
-    return VerificationReport(
-        passed=bool(worst >= -spec.tol),
-        trials=trials,
-        worst_value=float(worst),
-        seed=seed,
-        witness=witness,
-        witness_extra=extra,
-    )
+    return _evidence_report(worst, spec.tol, trials, seed, evaluated, witness, extra)
 
 
 def ellipticity_check(op, lam):
@@ -448,21 +460,21 @@ def _grad_scale(op, points):
 
 
 def ellipticity_scan(op, spec, trials, seed, tol=DEFAULT_TOL):
-    """Worst normalized min_i Q^{ii} over cone samples."""
+    """Worst normalized min_i Q^{ii} over cone samples; a trial the sampler
+    finds no point for is skipped."""
     draws = _Draws(seed)
     worst = np.inf
     witness = None
+    evaluated = 0
     for start, m in _chunks(trials):
-        [lam] = _sample_all(spec, draws, [_Part(_PHASE_POINT, start, m)], "ellipticity")
+        [(lam, found)] = _sample(spec, draws, [_Part(_PHASE_POINT, start, m)])
+        lam = lam[found]
+        evaluated += lam.shape[0]
+        if not lam.shape[0]:
+            continue
         values = combop.q_grad_batch(op, lam).min(axis=-1) / _grad_scale(op, lam)
         i = int(np.argmin(values))
         if values[i] < worst:
             worst = float(values[i])
             witness = tuple(float(v) for v in lam[i])
-    return VerificationReport(
-        passed=bool(worst >= -tol),
-        trials=trials,
-        worst_value=float(worst),
-        seed=seed,
-        witness=witness,
-    )
+    return _evidence_report(worst, tol, trials, seed, evaluated, witness)

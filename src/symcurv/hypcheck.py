@@ -10,13 +10,11 @@ a numeric companion-matrix mode is kept as an independent cross-check.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
 from .errors import DomainError, SymcurvError
-from .symfun import sigma_all
-from .combop import OperatorSpec, PolyCoeffs, lower_operator
+from .combop import OperatorSpec, PolyCoeffs, _check_witness, alpha_prime, lower_operator
 
 __all__ = [
     "ConditionCReport",
@@ -183,18 +181,6 @@ def real_rooted(p, mode="exact"):
     return RealRootedResult(True, mode, roots=tuple(sorted(roots)))
 
 
-def alpha_prime(op):
-    """Transformed coefficients alpha'_m = (n-k)! alpha_{k-m} / (n-k+m)!, exact.
-
-    Float coefficients are taken at their exact binary value.
-    """
-    n, k = op.n, op.k
-    base = factorial(n - k)
-    return tuple(
-        Fraction(op.alphas[k - m]) * base / factorial(n - k + m) for m in range(k + 1)
-    )
-
-
 def witness_b(alphas_prime, k):
     """Witness vector b with sigma_m(b) = alpha'_m, from the roots t_i of the
     transformed polynomial (all negative when it is real-rooted with
@@ -202,7 +188,8 @@ def witness_b(alphas_prime, k):
 
     Exact (Fraction entries) when the polynomial is linear or constant;
     otherwise numeric roots of the square-free factors, replicated by
-    multiplicity.  Raises if the recovered b fails to reproduce alpha'.
+    multiplicity.  Raises DomainError if the recovered b fails to reproduce
+    alpha'.
     """
     ap = _strip([Fraction(c) for c in alphas_prime])
     if ap[0] != 1:
@@ -231,23 +218,8 @@ def witness_b(alphas_prime, k):
                 vals.extend([-1.0 / float(r.real)] * mult)
         vals.sort(reverse=True)
         b = tuple(vals) + tuple(0.0 for _ in range(n_len - len(vals)))
-    _verify_witness(b, ap, k)
+    _check_witness(b, ap, k)
     return b
-
-
-def _verify_witness(b, ap, k):
-    eb = sigma_all(b, min(k, len(b))) + [0] * max(0, k - len(b))
-    exact = all(isinstance(x, (int, Fraction)) for x in b)
-    for m in range(k + 1):
-        want = ap[m] if m < len(ap) else Fraction(0)
-        if exact:
-            if Fraction(eb[m]) != want:
-                raise SymcurvError(f"witness verification failed at m={m}: {eb[m]} != {want}")
-        else:
-            if abs(float(eb[m]) - float(want)) > 1e-9 * (1.0 + abs(float(want))):
-                raise SymcurvError(
-                    f"witness verification failed at m={m}: {float(eb[m])} vs {float(want)}"
-                )
 
 
 @dataclass(frozen=True)

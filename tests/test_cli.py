@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +39,10 @@ def test_parse_errors_name_lines():
         cli.parse_config("[run]\ncommand = fly-to-the-moon\n[operator]\nn=3\nk=2\nalphas=0,1,1")
     with pytest.raises(ConfigError):
         cli.parse_config("key = 1\n")  # key outside any section
+    with pytest.raises(ConfigError, match="'r2'"):
+        cli.parse_config("[run]\ncommand = homotopy\n[operator]\nn=2\nk=2\nalphas=0,1,1\n"
+                         "[psi]\nfamily = constant\n[grid]\nn_lon=8\nn_lat=4\n"
+                         "[verify]\nr1 = 0.5\n")
 
 
 def test_fraction_values_parse_exactly():
@@ -115,6 +120,15 @@ def test_verify_guan(tmp_path, capsys):
     assert _run(tmp_path, text) == 0
 
 
+def test_verify_guan_refuted_by_condition_c_writes_witness(tmp_path, capsys):
+    text = "[run]\ncommand = verify-guan\n[operator]\nn = 3\nk = 2\nalphas = 1, 0, 1\n"
+    assert _run(tmp_path, text) == 1
+    assert "condition-c,1,-1.0,false" in (tmp_path / "out" / "report.csv").read_text()
+    witness = json.loads((tmp_path / "out" / "witness.json").read_text())
+    assert witness["command"] == "verify-guan"
+    assert len(witness["complex_roots"]) == 2
+
+
 def test_barrier_check_command(tmp_path, capsys):
     text = (
         "[run]\ncommand = barrier-check\n"
@@ -187,3 +201,19 @@ def test_homotopy_command(tmp_path, capsys):
     assert len(path_csv) >= 7  # header + at least 6 accepted steps
     assert (out_dir / "surface_0000.csv").exists()
     assert (out_dir / "report.csv").exists()
+
+
+DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.ini"))
+
+
+@pytest.mark.parametrize("config", DEMO_CONFIGS, ids=lambda p: p.stem)
+def test_demo_config_reruns_are_byte_identical(tmp_path, capsys, config):
+    assert len(DEMO_CONFIGS) == 6
+    want = 1 if config.name == "condition_c_fail.ini" else 0
+    runs = []
+    for name in ("a", "b"):
+        assert cli.main([str(config), "--output", str(tmp_path / name)]) == want
+        runs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+    assert runs[0] == runs[1]
+    assert "report.csv" in runs[0]
+    assert ("witness.json" in runs[0]) == (want == 1)

@@ -243,6 +243,20 @@ def test_lower_operator_examples():
     assert low_n.coeffs[-1] == low_n1.coeffs[-1] == F(1)
 
 
+def test_witness_check_exact_and_within_tolerance():
+    ap = (F(1), F(3, 2), F(1, 2))  # sigma_m of b = (1, 1/2)
+    combop._check_witness((F(1), F(1, 2)), ap, 2)
+    combop._check_witness((1.0, 0.5 + 1e-12), ap, 2)
+    with pytest.raises(DomainError):
+        combop._check_witness((F(1), F(1, 2) + F(1, 10**12)), ap, 2)  # exact: no tolerance
+    with pytest.raises(DomainError):
+        combop._check_witness((1.0, 0.5 + 1e-6), ap, 2)
+    # entries past the end of alpha' count as zero
+    combop._check_witness((F(1), F(0)), (F(1), F(1)), 2)
+    with pytest.raises(DomainError):
+        combop._check_witness((F(1), F(1)), (F(1), F(2)), 2)
+
+
 def test_lower_operator_witness_validation():
     op = OperatorSpec.sum_type(4, 2, F(1))
     with pytest.raises(DomainError):

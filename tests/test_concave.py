@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from symcurv import concave, symfun, hypcheck
+from symcurv import concave, cones, symfun, hypcheck
 from symcurv.combop import OperatorSpec, lower_operator
 from symcurv.cones import ConeSpec, trial_rng, _sample_one
 from symcurv.errors import DomainError, DomainExitError, SingularityError
@@ -122,6 +122,41 @@ def test_concavity_scan_counts_evidence():
     assert d["trials_evaluated"] + d["trials_skipped"] == 300
     assert d["directions_unresolved"] <= 4 * d["trials_evaluated"]
     assert 1 <= d["hessian_validated"] <= 30
+
+
+def _catalog_fields():
+    op = OperatorSpec.sum_type(4, 3, 2)
+    rep = hypcheck.check_condition_c(op)
+    return [concave.quotient_qk_field(4, 2, 1.0), concave.sigma_over_q_field(4, 3, 2.0),
+            concave.sum_ratio_field(5, 3, 1, 0.5), concave.sum_root_field(3, 2, 2.0),
+            concave.root_q_field(op),
+            concave.lower_quotient_field(op, lower_operator(op, rep.witness, 1, rep.N))]
+
+
+def test_catalog_field_call_is_values_on_one_row():
+    rng = np.random.default_rng(0)
+    for fld in _catalog_fields():
+        points = ([np.zeros(fld.n)] + cones.sample_cone(fld.domain, 20, seed=1)
+                  + list(rng.normal(size=(50, fld.n))))
+        singular = 0
+        for x in points:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = fld.values([x])[0]
+            if np.isfinite(want):
+                assert np.float64(fld(x)).tobytes() == want.tobytes(), (fld.name, x)
+            else:
+                singular += 1
+                with pytest.raises(SingularityError):
+                    fld(x)
+        assert singular, fld.name
+        with pytest.raises(DomainError):
+            fld(np.ones(fld.n + 1))
+
+
+def test_quotient_field_rejects_k_out_of_range():
+    for n, k in ((3, 3), (3, 0), (4, 5)):
+        with pytest.raises(DomainError):
+            concave.quotient_qk_field(n, k, 1.0)
 
 
 def test_scan_requires_domain():

@@ -148,8 +148,8 @@ def test_midpoint_witness_reproduces_worst(field, seed):
     x = np.array(rep.witness)
     xi = np.array(rep.witness_extra["direction"])
     eps = rep.witness_extra["eps"]
-    fx = field.fn(tuple(x))
-    res = (2.0 * fx - field.fn(tuple(x + eps * xi)) - field.fn(tuple(x - eps * xi))) / (1 + abs(fx))
+    fx = field(x)
+    res = (2.0 * fx - field(x + eps * xi) - field(x - eps * xi)) / (1 + abs(fx))
     assert res == pytest.approx(rep.worst_value, abs=1e-12)
     assert rep.details["trials_evaluated"] + rep.details["trials_skipped"] == 200
 
@@ -161,7 +161,7 @@ def test_batched_hessian_matches_naive_differences():
     got = concave._hessians_from_values(
         field.values(concave._stencil_probes(xs, hs).reshape(-1, 4)).reshape(20, -1), 4, hs)
     for x, h, hess in zip(xs, hs, got):
-        want = oracle_fd_hessian(lambda p: field.fn(tuple(p)), x, h)
+        want = oracle_fd_hessian(field, x, h)
         assert np.allclose(hess, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
 
@@ -171,3 +171,35 @@ def test_multi_round_passes_match_single_rounds(monkeypatch):
     many = cones.sample_cone(spec, 300, seed=4, min_margin=0.02)
     monkeypatch.setattr(cones, "_pass_rounds", lambda pending: 1)
     assert cones.sample_cone(spec, 300, seed=4, min_margin=0.02) == many
+
+
+def _guan_inputs(alpha):
+    op = OperatorSpec.sum_type(3, 2, alpha)
+    rep = hypcheck.check_condition_c(op)
+    return op, lower_operator(op, rep.witness, 1, rep.N)
+
+
+SCANS = {
+    "convexity": lambda trials, spec: cones.segment_convexity_check(spec, trials, 3),
+    "ellipticity": lambda trials, spec: cones.ellipticity_scan(
+        OperatorSpec.sum_type(3, 2, 2), spec, trials, 3),
+    "guan": lambda trials, spec: concave.guan_scan(*_guan_inputs(2), trials, 3),
+}
+
+
+@pytest.mark.parametrize("scan", SCANS)
+def test_scan_without_evidence_is_inconclusive(scan):
+    run = SCANS[scan]
+    rep = run(300, SPECS[2])
+    d = rep.details
+    assert rep.passed and not d["inconclusive"]
+    assert d["trials_evaluated"] + d["trials_skipped"] == 300 and d["trials_evaluated"] > 0
+    rep = run(0, SPECS[2])
+    assert not rep.passed and rep.details["inconclusive"]
+    assert rep.details["trials_evaluated"] == rep.details["trials_skipped"] == 0
+    assert str(rep).startswith("FAIL (inconclusive)")
+    if scan != "guan":
+        # a margin floor no point can reach: every trial is skipped
+        rep = run(5, ConeSpec("tilde", 3, 2, 2.0, tol=10.0))
+        assert rep.details["trials_skipped"] == 5
+        assert not rep.passed and rep.details["inconclusive"]
