@@ -3,7 +3,8 @@
 Usage: symcurv <config> [--seed S] [--trials T] [--output DIR]
 
 Exit codes: 0 = property verified / solve converged, 1 = property refuted /
-solve failed (a witness file is written), 2 = usage or runtime error.
+solve failed (a witness file is written), 2 = usage or runtime error, 3 =
+inconclusive (a scan evaluated no trial; no witness file).
 Sections: [run] [operator] [psi] [grid] [verify]; 'key = value' lines,
 comma-separated numeric lists, '#' comments; unknown keys are rejected.
 """
@@ -256,8 +257,21 @@ def _replay(cfg, op, exc):
 def _scan_row(name, rep, prop=None):
     """Print a scan's report line; returns its report.csv row."""
     tag = "PASS" if rep.passed else "FAIL"
+    if rep.details.get("inconclusive"):
+        tag += " (inconclusive)"
     print(f"{name:<28} {tag}  trials={rep.trials:<8d} worst={rep.worst_value: .6e}")
     return (prop or name, rep.trials, rep.worst_value, rep.passed)
+
+
+_INCONCLUSIVE = "inconclusive"  # a handler's witness when a scan had no evidence
+
+
+def _outcome(rows, reps, payload):
+    """(rows, witness): payload(rep) for the first report refuted with
+    evidence, else _INCONCLUSIVE if one failed without any, else None."""
+    failed = [rep for rep in reps if not rep.passed]
+    refuted = [rep for rep in failed if not rep.details.get("inconclusive")]
+    return rows, payload(refuted[0]) if refuted else _INCONCLUSIVE if failed else None
 
 
 def _condition_c(op):
@@ -278,7 +292,7 @@ def _solver_inputs(cfg, op):
 
 # Each handler runs one command and returns (rows, witness): the report.csv
 # rows, and the witness.json payload when the property is refuted or the
-# solve fails (None otherwise).
+# solve fails, _INCONCLUSIVE when a scan had no evidence, None otherwise.
 
 def _check_condition_c(cfg, op):
     rep, refuted = _condition_c(op)
@@ -294,8 +308,8 @@ def _check_condition_q(cfg, op):
         return refuted
     rep = hypcheck.check_condition_q(op, cfg.trials, cfg.seed,
                                      hessian_trials=cfg.verify.get("hessian_trials"))
-    rows = [_scan_row("condition-q", rep)]
-    return rows, None if rep.passed else {"witness": rep.witness, "operator": _operator_json(op)}
+    return _outcome([_scan_row("condition-q", rep)], [rep],
+                    lambda r: {"witness": r.witness, "operator": _operator_json(op)})
 
 
 def _check_cone(cfg, op):
@@ -303,10 +317,7 @@ def _check_cone(cfg, op):
     conv = segment_convexity_check(spec, cfg.trials, cfg.seed)
     elli = ellipticity_scan(op, spec, cfg.trials, cfg.seed)
     rows = [_scan_row("cone-convexity", conv), _scan_row("ellipticity", elli)]
-    if conv.passed and elli.passed:
-        return rows, None
-    bad = conv if not conv.passed else elli
-    return rows, {"witness": bad.witness, "extra": bad.witness_extra}
+    return _outcome(rows, [conv, elli], lambda r: {"witness": r.witness, "extra": r.witness_extra})
 
 
 def _verify_concavity(cfg, op):
@@ -314,9 +325,9 @@ def _verify_concavity(cfg, op):
     rep = concave.concavity_scan(fld, cfg.trials, cfg.seed,
                                  hessian_trials=cfg.verify.get("hessian_trials"))
     rows = [_scan_row(fld.name, rep, f"concavity:{fld.name}")]
-    return rows, None if rep.passed else {
-        "field": fld.name, "witness": rep.witness, "extra": rep.witness_extra,
-        "hessian_witness": rep.details.get("hessian_witness")}
+    return _outcome(rows, [rep], lambda r: {
+        "field": fld.name, "witness": r.witness, "extra": r.witness_extra,
+        "hessian_witness": r.details.get("hessian_witness")})
 
 
 def _verify_guan(cfg, op):
@@ -328,7 +339,7 @@ def _verify_guan(cfg, op):
     s_l = lower_operator(op, c_rep.witness, l, c_rep.N)
     rep = concave.guan_scan(op, s_l, cfg.trials, cfg.seed, delta=cfg.verify.get("delta", 1.0))
     rows = [_scan_row(f"guan-inequality l={l}", rep, f"guan-inequality:l={l}")]
-    return rows, None if rep.passed else {"witness": rep.witness, "extra": rep.witness_extra}
+    return _outcome(rows, [rep], lambda r: {"witness": r.witness, "extra": r.witness_extra})
 
 
 def _barrier_check(cfg, op):
@@ -399,12 +410,13 @@ COMMANDS = tuple(_HANDLERS)
 
 def execute(cfg):
     """Run the configured command; returns the process exit code: 0 when
-    the property holds or the solve converges, 1 when a witness is written."""
+    the property holds or the solve converges, 1 when a witness is written,
+    3 when a scan is inconclusive."""
     _echo(cfg)
     rows, witness = _HANDLERS[cfg.command](cfg, _operator(cfg))
     _write_report_csv(cfg.output_dir, rows)
-    if witness is None:
-        return 0
+    if witness is None or witness is _INCONCLUSIVE:
+        return 0 if witness is None else 3
     _write_witness(cfg.output_dir, {"command": cfg.command, **witness})
     return 1
 

@@ -3,13 +3,16 @@
 The transformed coefficients alpha'_m = (n-k)! alpha_{k-m} / (n-k+m)! form a
 univariate polynomial; the operator is hyperbolic-compatible iff that
 polynomial has only real roots, equivalently alpha'_m = sigma_m(b) for a
-nonnegative witness vector b.  The decision runs over exact rational
-arithmetic (Sturm counts on the square-free part), so it is tolerance-free;
-a numeric companion-matrix mode is kept as an independent cross-check.
+nonnegative witness vector b.  The decision is tolerance-free: one Sturm
+chain of signed pseudo-remainders over the integers, denominators cleared
+once (Basu, Pollack & Roy, "Algorithms in Real Algebraic Geometry", ch. 8);
+roots come from numpy per factor of Yun's square-free decomposition over
+the integers.  A numeric companion-matrix mode is an independent cross-check.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -28,103 +31,92 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial helpers (coefficient lists over Fraction, constant first)
+# integer polynomials: lists of ints, constant first; [] is zero
 
-def _strip(p):
-    d = len(p) - 1
-    while d > 0 and p[d] == 0:
-        d -= 1
-    return p[: d + 1]
+def _trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _primitive(p):
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
 
 def _deriv(p):
-    return _strip([i * c for i, c in enumerate(p)][1:]) if len(p) > 1 else [Fraction(0)]
+    return [i * c for i, c in enumerate(p)][1:]
 
 
-def _divmod(a, b):
+def _integer_poly(coeffs):
+    """Primitive integer polynomial with the roots of coeffs; a float is
+    taken at its exact binary value, denominators are cleared once."""
+    if not all(isinstance(c, (int, np.integer)) for c in coeffs):
+        coeffs = [Fraction(float(c)) if isinstance(c, (float, np.floating)) else Fraction(c)
+                  for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+    return _primitive(_trim([int(c) for c in coeffs]))
+
+
+def _prem(a, b):
+    """Remainder of m*a by b for some m > 0 (signs kept), made primitive."""
     a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(1, len(a) - db)
-    while len(a) - 1 >= db and any(c != 0 for c in a):
-        da = len(a) - 1
-        if a[da] == 0:
-            a.pop()
-            continue
-        c = a[da] / lb
-        q[da - db] = c
-        for i in range(db + 1):
-            a[da - db + i] -= c * b[i]
-        a.pop()
-    if not a:
-        a = [Fraction(0)]
-    return _strip(q), _strip(a)
+    while len(a) >= len(b):
+        g = gcd(a[-1], b[-1])
+        ma, mb = abs(b[-1]) // g, (a.pop() if b[-1] > 0 else -a.pop()) // g
+        a = [c * ma for c in a]
+        for i, x in enumerate(b[:-1], len(a) + 1 - len(b)):
+            a[i] -= mb * x
+        _trim(a)
+    return _primitive(a) if a else a
+
+
+def _exact_div(a, b):
+    """a / b where b divides a; integral when b is primitive (Gauss's lemma)."""
+    a, q = list(a), []
+    while len(a) >= len(b):
+        c, r = divmod(a.pop(), b[-1])
+        if r:
+            raise SymcurvError("internal consistency: inexact polynomial division")
+        q.append(c)
+        for i, x in enumerate(b[:-1], len(a) + 1 - len(b)):
+            a[i] -= c * x
+    if any(a):
+        raise SymcurvError("internal consistency: inexact polynomial division")
+    return q[::-1]
 
 
 def _gcd(a, b):
-    a, b = _strip(list(a)), _strip(list(b))
-    while b != [Fraction(0)] and any(c != 0 for c in b):
-        a, b = b, _divmod(a, b)[1]
-    lead = a[-1]
-    return [c / lead for c in a] if lead != 0 else [Fraction(1)]
+    while b:
+        a, b = b, _prem(a, b)
+    return _primitive(a)
 
 
-def _sturm_distinct_real_roots(p):
-    """Number of distinct real roots of square-free p (sign variations at -inf/+inf)."""
-    chain = [_strip(list(p))]
-    d1 = _deriv(chain[0])
-    if d1 != [Fraction(0)]:
-        chain.append(d1)
-        while len(chain[-1]) > 1:
-            rem = _divmod(chain[-2], chain[-1])[1]
-            if rem == [Fraction(0)] or all(c == 0 for c in rem):
-                break
-            chain.append([-c for c in rem])
-
-    def variations(signs):
-        signs = [s for s in signs if s != 0]
-        return sum(1 for x, y in zip(signs, signs[1:]) if x * y < 0)
-
-    at_plus = [1 if q[-1] > 0 else -1 if q[-1] < 0 else 0 for q in chain]
-    at_minus = [
-        s * (1 if (len(q) - 1) % 2 == 0 else -1)
-        for s, q in zip(at_plus, chain)
-    ]
-    return variations(at_minus) - variations(at_plus)
-
-
-def _yun_squarefree(p):
-    """Square-free decomposition: list of (factor, multiplicity), factors monic."""
-    p = _strip([Fraction(c) for c in p])
-    out = []
-    dp = _deriv(p)
-    g = _gcd(p, dp)
-    c = _divmod(p, g)[0]
-    d = [x - y for x, y in zip(_divmod(dp, g)[0] + [Fraction(0)] * len(c), _deriv(c) + [Fraction(0)] * len(c))]
-    d = _strip(d)
-    i = 1
-    while len(c) > 1:
-        f = _gcd(c, d)
-        if len(f) > 1:
-            out.append(([x / f[-1] for x in f], i))
-        c_next = _divmod(c, f)[0]
-        d = _strip([x - y for x, y in zip(_divmod(d, f)[0] + [Fraction(0)] * len(c_next),
-                                          _deriv(c_next) + [Fraction(0)] * len(c_next))])
-        c = c_next
-        i += 1
+def _squarefree(p, g):
+    """Yun's square-free decomposition over the integers, given g = gcd(p, p')
+    primitive: (factor, multiplicity) pairs with p = c * prod factor^mult."""
+    b, d = _exact_div(p, g), _exact_div(_deriv(p), g)
+    out, i = [], 1
+    while len(b) > 1:
+        d = _trim([x - y for x, y in zip(d + [0] * len(b), _deriv(b) + [0] * len(d))])
+        a = _gcd(b, d)
+        if len(a) > 1:
+            out.append((a, i))
+        b, d, i = _exact_div(b, a), _exact_div(d, a), i + 1
     return out
 
 
-def _to_fractions(coeffs):
-    out = []
-    for c in coeffs:
-        if isinstance(c, float) or isinstance(c, np.floating):
-            out.append(Fraction(float(c)))  # floats are dyadic rationals, exact
-        else:
-            out.append(Fraction(c))
-    return out
-
-
-# ---------------------------------------------------------------------------
+def _float_roots(p):
+    """numpy's roots of p after t = 2^e s, e from the coefficients' bit
+    lengths, so neither coefficients nor roots overflow or underflow; the
+    roots are scaled back by 2^e exactly."""
+    d, j = len(p) - 1, next(i for i, c in enumerate(p) if c)
+    e = round((abs(p[j]).bit_length() - abs(p[d]).bit_length()) / (d - j)) if d > j else 0
+    q = [c << e * m if e >= 0 else c << -e * (d - m) for m, c in enumerate(p)]
+    top = 1 << max(0, max(abs(c).bit_length() for c in q) - 1000)
+    raw = np.roots([c / top for c in reversed(q)])
+    return np.ldexp(raw.real, e) + 1j * np.ldexp(raw.imag, e)
 
 
 @dataclass(frozen=True)
@@ -135,50 +127,71 @@ class RealRootedResult:
     witness: tuple = None    # when not: a conjugate pair of complex roots
 
 
+def _complex_pair(raw):
+    worst = raw[np.argmax(np.abs(raw.imag))]
+    return complex(worst), complex(worst.conjugate())
+
+
 def real_rooted(p, mode="exact"):
     """Decide whether p has only real roots.
 
-    Exact mode: Sturm count on the square-free part over rational
-    arithmetic (all distinct roots real iff the count equals the square-free
-    degree); multiple real roots therefore pass.  Numeric mode: companion
-    matrix roots, real iff |imag| <= 1e-8 * (1 + max|coeff|).  Degree 0 is
-    vacuously all-real.
+    Exact mode: the Sturm chain of p and p' over primitive integer
+    coefficients gives V(-inf) - V(+inf) distinct real roots and it ends in
+    gcd(p, p'), so p has deg p - deg gcd distinct roots; p is all-real iff
+    the counts agree (multiple real roots pass).  Roots, with multiplicity,
+    are numpy's per square-free factor.  Numeric mode: companion matrix
+    roots, real iff |imag| <= 1e-8 * (1 + max|coeff|); it is blind to
+    repeated roots, which split into clusters of width ~eps^(1/multiplicity)
+    (2(1 + t)^3 comes out complex).  Degree 0 is vacuously all-real.
     """
     coeffs = list(p.coeffs) if isinstance(p, PolyCoeffs) else list(p)
     if all(c == 0 for c in coeffs):
         raise DomainError("the zero polynomial is not accepted")
     if mode == "numeric":
-        cf = [float(c) for c in coeffs]
-        d = len(cf) - 1
-        while d > 0 and cf[d] == 0.0:
-            d -= 1
-        cf = cf[: d + 1]
-        if d == 0:
+        cf = _trim([float(c) for c in coeffs])
+        if len(cf) <= 1:
             return RealRootedResult(True, mode, roots=())
         snap = 1e-8 * (1.0 + max(abs(c) for c in cf))
         raw = np.roots(list(reversed(cf)))
         bad = raw[np.abs(raw.imag) > snap]
         if bad.size:
-            worst = bad[np.argmax(np.abs(bad.imag))]
-            return RealRootedResult(False, mode, witness=(complex(worst), complex(worst.conjugate())))
+            return RealRootedResult(False, mode, witness=_complex_pair(bad))
         return RealRootedResult(True, mode, roots=tuple(sorted(float(r) for r in raw.real)))
     if mode != "exact":
         raise DomainError(f"unknown mode {mode!r}")
-    f = _strip(_to_fractions(coeffs))
+    f = _integer_poly(coeffs)
     if len(f) == 1:
         return RealRootedResult(True, mode, roots=())
-    g = _divmod(f, _gcd(f, _deriv(f)))[0]
-    all_real = _sturm_distinct_real_roots(g) == len(g) - 1
-    if not all_real:
-        cf = [float(c) for c in f]
-        raw = np.roots(list(reversed(cf)))
-        worst = raw[np.argmax(np.abs(raw.imag))]
-        return RealRootedResult(False, mode, witness=(complex(worst), complex(worst.conjugate())))
+    chain = [f, _primitive(_deriv(f))]  # signed pseudo-remainders; ends in gcd(f, f')
+    while len(chain[-1]) > 1 and (r := _prem(chain[-2], chain[-1])):
+        chain.append([-c for c in r])
+    plus = [q[-1] > 0 for q in chain]  # signs at +inf; at -inf they flip for odd degree
+    minus = [s == (len(q) % 2 == 1) for s, q in zip(plus, chain)]
+    v_minus, v_plus = (sum(x != y for x, y in zip(s, s[1:])) for s in (minus, plus))
+    if v_minus - v_plus != len(f) - len(chain[-1]):
+        return RealRootedResult(False, mode, witness=_complex_pair(_float_roots(f)))
     roots = []
-    for factor, mult in _yun_squarefree(f):
-        rs = np.roots(list(reversed([float(c) for c in factor])))
-        roots.extend(float(r.real) for r in rs for _ in range(mult))
+    for factor, mult in _squarefree(f, _primitive(chain[-1])):
+        roots.extend(float(r.real) for r in _float_roots(factor) for _ in range(mult))
     return RealRootedResult(True, mode, roots=tuple(sorted(roots)))
+
+
+def _witness(ap, k, roots):
+    """witness_b of the Fraction tuple ap, given the roots of sum ap_m t^m."""
+    if ap[0] != 1:
+        raise DomainError("expected alpha'_0 == 1 (normalized operator)")
+    if any(c < 0 for c in ap):
+        raise DomainError("transformed coefficients must be nonnegative")
+    d = len(_trim(list(ap))) - 1
+    if d <= 1:
+        b = [ap[1]] if d else []
+    elif any(r >= 0 for r in roots):
+        raise SymcurvError("internal consistency: nonnegative coefficients exclude roots >= 0")
+    else:
+        b = sorted((-1.0 / r for r in roots), reverse=True)
+    b = tuple(b) + (0.0 if d > 1 else Fraction(0),) * (max(k, d) - len(b))
+    _check_witness(b, ap, k)
+    return b
 
 
 def witness_b(alphas_prime, k):
@@ -187,39 +200,15 @@ def witness_b(alphas_prime, k):
     nonnegative coefficients): b_i = -1/t_i, zero-padded to length max(k, d).
 
     Exact (Fraction entries) when the polynomial is linear or constant;
-    otherwise numeric roots of the square-free factors, replicated by
-    multiplicity.  Raises DomainError if the recovered b fails to reproduce
-    alpha'.
+    otherwise float, from real_rooted's roots.  Raises DomainError if
+    alpha'_0 != 1, a coefficient is negative, a root is complex, or b fails
+    to reproduce alpha'.
     """
-    ap = _strip([Fraction(c) for c in alphas_prime])
-    if ap[0] != 1:
-        raise DomainError("expected alpha'_0 == 1 (normalized operator)")
-    if any(c < 0 for c in ap):
-        raise DomainError("transformed coefficients must be nonnegative")
-    d = len(ap) - 1
-    n_len = max(k, d)
-    if d == 0:
-        return tuple(Fraction(0) for _ in range(n_len))
-    if d == 1:
-        b1 = ap[1] / ap[0]
-        b = tuple([b1] + [Fraction(0)] * (n_len - 1))
-    else:
-        vals = []
-        for factor, mult in _yun_squarefree(ap):
-            for r in np.roots(list(reversed([float(c) for c in factor]))):
-                if abs(r.imag) > 1e-8 * (1.0 + abs(r.real)):
-                    raise SymcurvError(
-                        "internal consistency: complex root in a real-rooted polynomial"
-                    )
-                if r.real >= 0:
-                    raise SymcurvError(
-                        "internal consistency: nonnegative coefficients exclude roots >= 0"
-                    )
-                vals.extend([-1.0 / float(r.real)] * mult)
-        vals.sort(reverse=True)
-        b = tuple(vals) + tuple(0.0 for _ in range(n_len - len(vals)))
-    _check_witness(b, ap, k)
-    return b
+    ap = tuple(Fraction(c) for c in alphas_prime)
+    res = real_rooted(ap, mode="exact")
+    if not res.all_real:
+        raise DomainError("the transformed polynomial has complex roots; no witness exists")
+    return _witness(ap, k, res.roots)
 
 
 @dataclass(frozen=True)
@@ -248,13 +237,8 @@ def check_condition_c(op):
     ap = alpha_prime(op)
     res = real_rooted(ap, mode="exact")
     if not res.all_real:
-        return ConditionCReport(
-            op=op, alphas_prime=ap, all_real=False, failure_witness=res.witness
-        )
-    b = witness_b(ap, op.k)
-    return ConditionCReport(
-        op=op, alphas_prime=ap, all_real=True, roots=res.roots, witness=b
-    )
+        return ConditionCReport(op, ap, False, failure_witness=res.witness)
+    return ConditionCReport(op, ap, True, roots=res.roots, witness=_witness(ap, op.k, res.roots))
 
 
 def check_condition_q(op, samples, seed, hessian_trials=None):
@@ -288,11 +272,15 @@ def check_condition_q(op, samples, seed, hessian_trials=None):
             witness = r.witness
         hess_worst = max(hess_worst, r.details.get("hessian_worst", -np.inf))
     passed = all(r.passed for r in per_l.values())
+    # inconclusive: some l had no evidence and none was refuted with evidence
+    inconclusive = not passed and all(r.passed or r.details.get("inconclusive")
+                                      for r in per_l.values())
     return VerificationReport(
         passed=passed,
         trials=samples * (op.k - 1),
         worst_value=float(worst),
         seed=seed,
         witness=witness,
-        details={"per_l": per_l, "hessian_worst": float(hess_worst), "witness_b": rep.witness},
+        details={"per_l": per_l, "hessian_worst": float(hess_worst), "witness_b": rep.witness,
+                 "inconclusive": inconclusive},
     )

@@ -123,3 +123,24 @@ def normalized_margin_exact(kind, point, k, alpha=0):
         a = Fraction(alpha)
         qs.append((a * sig[k - 1] + sig[k]) / (comb(n, k) * top**k + a * comb(n, k - 1) * top ** (k - 1)))
     return min(qs)
+
+
+def rooted_product(linear, quadratic_c=None):
+    """Coefficients (constant first, exact) of prod (a t + b)^m over
+    linear = [(a, b, m), ...], times t^2 + c when quadratic_c = c is given,
+    by repeated schoolbook multiplication; with the real roots -b/a
+    repeated m times, sorted."""
+    from fractions import Fraction
+
+    factors = [[b, a] for a, b, m in linear for _ in range(m)]
+    if quadratic_c is not None:
+        factors.append([quadratic_c, 0, 1])
+    coeffs = [1]
+    for f in factors:
+        out = [0] * (len(coeffs) + len(f) - 1)
+        for i, x in enumerate(coeffs):
+            for j, y in enumerate(f):
+                out[i + j] = out[i + j] + x * y
+        coeffs = out
+    roots = sorted(Fraction(-b, a) for a, b, m in linear for _ in range(m))
+    return coeffs, roots

@@ -101,6 +101,21 @@ def test_check_cone_and_overrides(tmp_path, capsys):
     assert "trials=150" in out
 
 
+def test_inconclusive_scan_exits_three_without_witness(tmp_path, capsys):
+    config = Path(__file__).resolve().parents[1] / "demos" / "configs" / "check_cone.ini"
+    out_dir = tmp_path / "out"
+    assert cli.main([str(config), "--trials", "0", "--output", str(out_dir)]) == 3
+    out = capsys.readouterr().out
+    assert "cone-convexity               FAIL (inconclusive)  trials=0" in out
+    assert "ellipticity                  FAIL (inconclusive)  trials=0" in out
+    assert not (out_dir / "witness.json").exists()
+    assert "cone-convexity,0,inf,false" in (out_dir / "report.csv").read_text()
+    text = "[run]\ncommand = check-condition-q\n[operator]\nn = 4\nk = 3\nalphas = 0, 0, 2, 1\n"
+    assert _run(tmp_path, text, "--trials", "0") == 3
+    assert "condition-q                  FAIL (inconclusive)" in capsys.readouterr().out
+    assert not (out_dir / "witness.json").exists()
+
+
 def test_verify_concavity_negative_control(tmp_path, capsys):
     text = (
         "[run]\ncommand = verify-concavity\ntrials = 200\n"

@@ -3,7 +3,9 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from oracles import rooted_product
 from symcurv import hypcheck
 from symcurv.combop import OperatorSpec
 from symcurv.errors import DomainError
@@ -38,6 +40,67 @@ def test_real_rooted_triple_root_exact():
     r = hypcheck.real_rooted([1, 3, 3, 1])
     assert r.all_real
     assert r.roots == pytest.approx([-1.0, -1.0, -1.0], abs=1e-9)
+
+
+def test_numeric_mode_is_blind_to_repeated_roots():
+    # 2 + 6t + 6t^2 + 2t^3 = 2(1 + t)^3: the companion matrix splits the
+    # triple root into a cluster of width ~eps^(1/3), above the snap tolerance
+    p = [2, 6, 6, 2]
+    assert hypcheck.real_rooted(p, mode="exact").all_real
+    assert not hypcheck.real_rooted(p, mode="numeric").all_real
+
+
+def test_widely_scaled_coefficients_neither_overflow_nor_underflow():
+    # roots -1e-200 and -5e-201: the monic constant 5e-401 is below float range
+    r = hypcheck.real_rooted([1, 3 * 10**200, 2 * 10**400])
+    assert r.all_real and len(r.roots) == 2
+    for got, want in zip(r.roots, (-1e-200, -5e-201)):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    # roots +-1e200 i: the coefficient 10**400 is above float range
+    r = hypcheck.real_rooted([10**400, 0, 1])
+    assert not r.all_real
+    assert sorted(w.imag for w in r.witness) == pytest.approx([-1e200, 1e200], rel=1e-12)
+    assert all(abs(w.real) <= 1e-12 * 1e200 for w in r.witness)
+
+
+# products of (a t + b)^m with distinct roots -b/a, optionally times t^2 + c
+_linear_st = st.lists(
+    st.tuples(st.integers(-9, 9).filter(bool), st.integers(-9, 9), st.integers(1, 3)),
+    min_size=1, max_size=4, unique_by=lambda f: F(-f[1], f[0]),
+)
+_quadratic_st = st.none() | st.builds(F, st.integers(1, 20), st.integers(1, 9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear=_linear_st, c=_quadratic_st)
+def test_exact_decision_on_constructed_products(linear, c):
+    coeffs, roots = rooted_product(linear, c)
+    r = hypcheck.real_rooted(coeffs, mode="exact")
+    assert r.all_real == (c is None)
+    if r.all_real:
+        assert len(r.roots) == len(roots)
+        for got, want in zip(r.roots, roots):
+            assert abs(got - want) <= 1e-9 * abs(want)
+    else:
+        assert r.witness[0] == r.witness[1].conjugate() and r.witness[0].imag != 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(linear=_linear_st, c=_quadratic_st,
+       scale=st.builds(F, st.integers(-50, 50).filter(bool), st.integers(1, 50)))
+def test_exact_decision_invariant_under_scaling_and_floats(linear, c, scale):
+    coeffs, _ = rooted_product(linear, c)
+    want = hypcheck.real_rooted(coeffs, mode="exact")
+    scaled = hypcheck.real_rooted([scale * x for x in coeffs], mode="exact")
+    # integer multiples are exact as floats below 2**53
+    den = np.lcm.reduce([F(x).denominator for x in coeffs])
+    ints = [int(x * den) for x in coeffs]
+    assume(all(abs(x) < 2**53 for x in ints))
+    floats = hypcheck.real_rooted([float(x) for x in ints], mode="exact")
+    for r in (scaled, floats):
+        assert r.all_real == want.all_real
+        if want.all_real:
+            assert r.roots == pytest.approx(want.roots, rel=1e-12, abs=0)
 
 
 def test_exact_and_numeric_modes_agree_smoke():
