@@ -58,9 +58,6 @@ _SCHEMA = {
     },
 }
 
-_DEFAULTS = {"seed": 0, "trials": 1000, "output_dir": "out"}
-
-
 @dataclass
 class RunConfig:
     command: str
@@ -128,11 +125,7 @@ def parse_config(text):
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
     cfg = RunConfig(
-        command=command,
-        seed=run.get("seed", _DEFAULTS["seed"]),
-        trials=run.get("trials", _DEFAULTS["trials"]),
-        tol=run.get("tol"),
-        output_dir=run.get("output_dir", _DEFAULTS["output_dir"]),
+        **run,   # the [run] keys present; RunConfig holds the defaults
         operator=sections.get("operator"),
         psi=sections.get("psi"),
         grid=sections.get("grid"),
@@ -256,10 +249,7 @@ def _replay(cfg, op, exc):
 
 def _scan_row(name, rep, prop=None):
     """Print a scan's report line; returns its report.csv row."""
-    tag = "PASS" if rep.passed else "FAIL"
-    if rep.details.get("inconclusive"):
-        tag += " (inconclusive)"
-    print(f"{name:<28} {tag}  trials={rep.trials:<8d} worst={rep.worst_value: .6e}")
+    print(f"{name:<28} {rep.tag}  trials={rep.trials:<8d} worst={rep.worst_value: .6e}")
     return (prop or name, rep.trials, rep.worst_value, rep.passed)
 
 

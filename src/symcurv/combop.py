@@ -252,18 +252,27 @@ def shifted_profile(op, x, a):
     return PolyCoeffs(tuple(coeffs))
 
 
+def _as_floats(coeffs):
+    """Polynomial coefficients as floats; DomainError beyond float range."""
+    try:
+        return [float(c) for c in coeffs]
+    except OverflowError:
+        raise DomainError("a coefficient is beyond float range") from None
+
+
 def profile_roots(p):
     """All roots of p via companion-matrix eigenvalues, sorted by real part.
 
     Roots with |imag| <= 1e-8 * (1 + max|coeff|) are snapped to the real
-    axis.  Raises for constant polynomials (the zero polynomial included).
+    axis.  Raises DomainError for constant polynomials (the zero polynomial
+    included) and for coefficients beyond float range.
     """
     coeffs = p.coeffs if isinstance(p, PolyCoeffs) else PolyCoeffs(tuple(p)).coeffs
     if len(coeffs) == 1:
         if coeffs[0] == 0:
             raise DomainError("zero polynomial has no well-defined roots")
         raise DomainError("constant polynomial has no roots")
-    cf = [float(c) for c in coeffs]
+    cf = _as_floats(coeffs)
     snap = 1e-8 * (1.0 + max(abs(c) for c in cf))
     raw = np.roots(list(reversed(cf)))
     out = []

@@ -91,9 +91,6 @@ class ScalarField:
             raise SingularityError(f"{self.name} is not finite at {point}")
         return value
 
-    def contains(self, x):
-        return self.domain is None or cone_contains(self.domain, x)
-
     def values(self, points):
         pts = np.asarray(points, dtype=float)
         if self.batch_fn is not None:

@@ -94,11 +94,14 @@ class VerificationReport:
     witness_extra: dict = None
     details: dict = field(default_factory=dict)
 
-    def __str__(self):
+    @property
+    def tag(self):
+        """'PASS', 'FAIL', or 'FAIL (inconclusive)' for a scan without evidence."""
         tag = "PASS" if self.passed else "FAIL"
-        if self.details.get("inconclusive"):
-            tag += " (inconclusive)"
-        return f"{tag} trials={self.trials} worst={self.worst_value:.3e} seed={self.seed}"
+        return tag + " (inconclusive)" if self.details.get("inconclusive") else tag
+
+    def __str__(self):
+        return f"{self.tag} trials={self.trials} worst={self.worst_value:.3e} seed={self.seed}"
 
 
 def trial_rng(seed, index):

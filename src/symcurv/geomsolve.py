@@ -13,10 +13,13 @@ Geometry comes from the standard radial-graph formulas: with W^2 = rho^2 +
 
 The equation Q(kappa) = psi(X, nu) is solved by damped Newton, and by
 homotopy continuation from a round start for data satisfying the barrier
-conditions.  The residual at a node reads only its 3x3 stencil, so Newton
+conditions.  A node is admissible iff its cones.cone_margins_batch margin
+in the operator's cone (Gamma~_k for sum-type operators, Gamma_k otherwise)
+is positive.  The residual at a node reads only its 3x3 stencil, so Newton
 builds a colored sparse forward-difference Jacobian (one perturbed surface
 per group of columns that share no row; Curtis, Powell and Reid 1974) and
-factors it with a sparse LU.
+factors it with a sparse LU.  monitor_path(path) summarises the records
+homotopy_solve kept; write_solution_csv returns the residual it wrote.
 """
 
 import csv
@@ -35,9 +38,8 @@ from .errors import (
     ConvergenceError,
     DomainError,
 )
-from .symfun import sigma_all_batch
 from .combop import OperatorSpec, q_eval, q_eval_batch
-from .cones import VerificationReport
+from .cones import ConeSpec, VerificationReport, cone_margins_batch
 
 __all__ = [
     "SphereGrid",
@@ -231,27 +233,20 @@ def surface_geometry(surface):
 # ---------------------------------------------------------------------------
 # admissibility and residual
 
-def _admissible_mask(op, kappa):
-    """Nodewise admissibility of the curvature pair: Gamma~_k for sum-type
-    operators (strict inequalities), Gamma_k otherwise."""
-    e = sigma_all_batch(kappa, op.k)
+def _inadmissible_nodes(op, kappa):
+    """Nodes whose curvature pair is not strictly inside the operator's cone
+    (Gamma~_k for sum-type operators, Gamma_k otherwise): margin not > 0."""
     alpha = op.sum_type_alpha
-    ok = np.ones(kappa.shape[:-1], dtype=bool)
-    if alpha is not None:
-        for m in range(1, op.k):
-            ok &= e[..., m] > 0.0
-        ok &= float(alpha) * e[..., op.k - 1] + e[..., op.k] > 0.0
-    else:
-        for m in range(1, op.k + 1):
-            ok &= e[..., m] > 0.0
-    return ok
+    cone = ConeSpec("garding" if alpha is None else "tilde", 2, op.k, float(alpha or 0), tol=0.0)
+    return [tuple(i) for i in np.argwhere(~(cone_margins_batch(cone, kappa) > 0.0))]
 
 
 def _residual_raw(rho, grid, op, psi):
-    """Q(kappa) - psi per node, plus the admissibility mask (no raising)."""
-    X, nu, kappa, _ = _geometry(rho, grid)
-    res = q_eval_batch(op, kappa) - psi.evaluate(X, nu)
-    return res, _admissible_mask(op, kappa)
+    """Q(kappa) - psi per node, and the geometry (X, nu, kappa, support) it
+    was computed from (no admissibility test, no raising)."""
+    geo = _geometry(rho, grid)
+    X, nu, kappa, _ = geo
+    return q_eval_batch(op, kappa) - psi.evaluate(X, nu), geo
 
 
 def residual(surface, op, psi):
@@ -259,9 +254,9 @@ def residual(surface, op, psi):
     offending nodes) if any node's curvatures leave the admissible cone."""
     if op.n != 2:
         raise DomainError("surface solving is fixed to n=2 (two principal curvatures)")
-    res, ok = _residual_raw(surface.rho, surface.grid, op, psi)
-    if not ok.all():
-        bad = [tuple(idx) for idx in np.argwhere(~ok)]
+    res, (_, _, kappa, _) = _residual_raw(surface.rho, surface.grid, op, psi)
+    bad = _inadmissible_nodes(op, kappa)
+    if bad:
         raise ConeExitError(
             f"curvatures leave the admissible cone at {len(bad)} node(s)", nodes=bad
         )
@@ -438,8 +433,8 @@ def _jacobian_fd(rho, grid, op, psi, base):
     deltas = np.sqrt(_EPS) * (1.0 + np.abs(flat))
     batch = np.repeat(flat[None, :], pat.n_colors, axis=0)
     batch[pat.colors, np.arange(n)] += deltas
-    res, _ = _residual_raw(batch.reshape(pat.n_colors, *grid.shape), grid, op, psi)
-    res = res.reshape(pat.n_colors, n)
+    res = _residual_raw(batch.reshape(pat.n_colors, *grid.shape), grid, op, psi)[0]
+    res = res.reshape(pat.n_colors, n)   # [0]: the batch's geometry is freed at once
     values = (res[pat.colors[pat.cols], pat.indices] - base.ravel()[pat.indices]) \
         / deltas[pat.cols]
     return scipy.sparse.csc_matrix((values, pat.indices, pat.indptr), shape=(n, n))
@@ -461,11 +456,10 @@ def newton_solve(initial, op, psi, opts=None):
     opts = opts or SolveOptions()
     grid = initial.grid
     rho = initial.rho.copy()
-    res, ok = _residual_raw(rho, grid, op, psi)
-    if not ok.all():
-        raise ConeExitError("initial surface is not admissible",
-                            nodes=[tuple(i) for i in np.argwhere(~ok)])
-    X, nu, _, _ = _geometry(rho, grid)
+    res, (X, nu, kappa, _) = _residual_raw(rho, grid, op, psi)
+    bad = _inadmissible_nodes(op, kappa)
+    if bad:
+        raise ConeExitError("initial surface is not admissible", nodes=bad)
     psi_scale = float(np.max(np.abs(psi.evaluate(X, nu))))
     tol = opts.tol if opts.tol is not None else 1e-10 * psi_scale
     diag = NewtonDiagnostics(tol=tol)
@@ -498,9 +492,10 @@ def newton_solve(initial, op, psi, opts=None):
             cand = rho + scale * step
             if np.all(cand > 0):
                 diag.residual_evals[-1] += 1
-                cand_res, cand_ok = _residual_raw(cand, grid, op, psi)
+                cand_res, (_, _, cand_kappa, _) = _residual_raw(cand, grid, op, psi)
                 cand_norm = float(np.max(np.abs(cand_res)))
-                if cand_ok.all() and np.isfinite(cand_norm) and cand_norm < norm:
+                if (np.isfinite(cand_norm) and cand_norm < norm
+                        and not _inadmissible_nodes(op, cand_kappa)):
                     rho, res, norm = cand, cand_res, cand_norm
                     diag.iterations[-1] = (norm, scale, halving)
                     accepted = True
@@ -563,23 +558,24 @@ def barrier_check(psi, op, r1, r2=None, n_rho=33, tol=1e-12):
         m1, w1 = sphere_margin(r1, "lower")
         m2, w2 = sphere_margin(r2, "upper")
         details["inner_margin"], details["outer_margin"] = m1, m2
-        # radial monotonicity: centered differences of rho^k psi at fixed nu
+        # radial monotonicity: centered differences of rho^k psi at fixed nu,
+        # one psi call per normal over the whole (rho, direction) grid; rho^k
+        # by scalar pow (numpy's array pow differs in the last bit for k = 3)
         rhos = np.linspace(r1, r2, n_rho)
+        X = rhos[:, None, None] * dirs
+        rho_k = np.array([r**op.k for r in rhos])[:, None]
         nus = np.concatenate([dirs, np.eye(3), -np.eye(3)], axis=0)
         worst_mono = np.inf
         w3 = None
         for nu in nus:
-            nu_b = np.broadcast_to(nu, (dirs.shape[0], 3))
-            g = np.stack(
-                [r**op.k * psi.evaluate(r * dirs, nu_b) for r in rhos], axis=0
-            )
+            g = rho_k * psi.evaluate(X, np.broadcast_to(nu, X.shape))
             dg = (g[2:] - g[:-2]) / (2.0 * (rhos[1] - rhos[0]))
             scale = 1.0 + np.max(np.abs(g)) / (r2 - r1)
             m = float(np.min(-dg) / scale)
             if m < worst_mono:
                 worst_mono = m
                 bad = np.unravel_index(int(np.argmin(-dg)), dg.shape)
-                w3 = (tuple(rhos[bad[0] + 1] * dirs[bad[1]]), tuple(nu))
+                w3 = (tuple(X[bad[0] + 1, bad[1]]), tuple(nu))
         details["monotonicity_margin"] = worst_mono
         worst = min(m1, m2, worst_mono)
         witness = {m1: w1, m2: w2, worst_mono: w3}.get(worst)
@@ -721,14 +717,15 @@ def curvature_monitor(surface, z=0.0, moments=(2, 6, 10)):
     return record
 
 
-def monitor_path(path, z=0.0, moments=(2, 6, 10)):
-    """Per-step records plus maxima over the whole continuation path."""
-    records = [curvature_monitor(s, z, moments) for s in path.surfaces]
+def monitor_path(path):
+    """The per-step curvature_monitor records that homotopy_solve kept
+    (path.records), plus their maxima over the whole continuation path."""
+    records = path.records
     summary = {
         "max_kappa1": max(r["max_kappa1"] for r in records),
         "min_support": min(r["min_support"] for r in records),
         "p_moments": {
-            m: max(r["p_moments"][m] for r in records) for m in moments
+            m: max(r["p_moments"][m] for r in records) for m in records[0]["p_moments"]
         },
     }
     return records, summary
@@ -742,10 +739,10 @@ def _fmt(x):
 
 
 def write_solution_csv(path, surface, op, psi):
-    """One row per node: lon_index,lat_index,phi,theta,rho,kappa1,kappa2,support,residual."""
-    geo = surface_geometry(surface)
-    res = q_eval_batch(op, geo.kappa) - psi.evaluate(geo.X, geo.nu)
+    """One row per node: lon_index,lat_index,phi,theta,rho,kappa1,kappa2,support,residual.
+    Returns the residual column, Q(kappa) - psi per node (shape (n_lat, n_lon))."""
     grid = surface.grid
+    res, (_, _, kappa, support) = _residual_raw(surface.rho, grid, op, psi)
     theta, phi = grid.theta, grid.phi
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -757,9 +754,10 @@ def write_solution_csv(path, surface, op, psi):
             for i in range(grid.n_lon):
                 w.writerow(
                     [i, j, _fmt(phi[i]), _fmt(theta[j]), _fmt(surface.rho[j, i]),
-                     _fmt(geo.kappa[j, i, 0]), _fmt(geo.kappa[j, i, 1]),
-                     _fmt(geo.support[j, i]), _fmt(res[j, i])]
+                     _fmt(kappa[j, i, 0]), _fmt(kappa[j, i, 1]),
+                     _fmt(support[j, i]), _fmt(res[j, i])]
                 )
+    return res
 
 
 def write_path_csv(out_dir, path, op, psi, eps):
@@ -769,11 +767,8 @@ def write_path_csv(out_dir, path, op, psi, eps):
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for idx, (t, surface, record) in enumerate(zip(path.ts, path.surfaces, path.records)):
-        blended = _BlendedPsi(psi, op, t, eps)
-        write_solution_csv(
-            os.path.join(out_dir, f"surface_{idx:04d}.csv"), surface, op, blended
-        )
-        res, _ = _residual_raw(surface.rho, surface.grid, op, blended)
+        res = write_solution_csv(os.path.join(out_dir, f"surface_{idx:04d}.csv"),
+                                 surface, op, _BlendedPsi(psi, op, t, eps))
         rows.append((t, record["max_kappa1"], record["min_support"],
                      float(np.max(np.abs(res)))))
     with open(os.path.join(out_dir, "path.csv"), "w", newline="") as fh:

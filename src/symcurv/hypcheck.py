@@ -17,7 +17,8 @@ from math import gcd, lcm
 import numpy as np
 
 from .errors import DomainError, SymcurvError
-from .combop import OperatorSpec, PolyCoeffs, _check_witness, alpha_prime, lower_operator
+from .combop import (OperatorSpec, PolyCoeffs, _as_floats, _check_witness, alpha_prime,
+                     lower_operator)
 
 __all__ = [
     "ConditionCReport",
@@ -142,13 +143,14 @@ def real_rooted(p, mode="exact"):
     are numpy's per square-free factor.  Numeric mode: companion matrix
     roots, real iff |imag| <= 1e-8 * (1 + max|coeff|); it is blind to
     repeated roots, which split into clusters of width ~eps^(1/multiplicity)
-    (2(1 + t)^3 comes out complex).  Degree 0 is vacuously all-real.
+    (2(1 + t)^3 comes out complex), and it raises DomainError on
+    coefficients beyond float range.  Degree 0 is vacuously all-real.
     """
     coeffs = list(p.coeffs) if isinstance(p, PolyCoeffs) else list(p)
     if all(c == 0 for c in coeffs):
         raise DomainError("the zero polynomial is not accepted")
     if mode == "numeric":
-        cf = _trim([float(c) for c in coeffs])
+        cf = _trim(_as_floats(coeffs))
         if len(cf) <= 1:
             return RealRootedResult(True, mode, roots=())
         snap = 1e-8 * (1.0 + max(abs(c) for c in cf))

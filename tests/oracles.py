@@ -92,6 +92,29 @@ def fd_jacobian_dense(f, x, steps):
     return out
 
 
+def barrier_monotonicity_loop(psi, k, r1, r2, dirs, n_rho=33):
+    """Radial monotonicity margin of rho^k psi over [r1, r2], one psi call
+    per (normal, radius) pair: for each normal nu (the directions, then
+    +-e_1..e_3), centered differences of r^k psi(r * dirs, nu) over the
+    radii, min(-d/drho) / (1 + max|r^k psi| / (r2 - r1)).  Returns the
+    smallest such margin and the (point, normal) of its first strict
+    minimum."""
+    rhos = np.linspace(r1, r2, n_rho)
+    nus = np.concatenate([dirs, np.eye(3), -np.eye(3)], axis=0)
+    worst, witness = np.inf, None
+    for nu in nus:
+        nu_rows = np.broadcast_to(nu, dirs.shape)
+        g = np.zeros((n_rho, len(dirs)))
+        for a, r in enumerate(rhos):
+            g[a] = r**k * psi.evaluate(r * dirs, nu_rows)
+        dg = (g[2:] - g[:-2]) / (2.0 * (rhos[1] - rhos[0]))
+        m = float(np.min(-dg) / (1.0 + np.max(np.abs(g)) / (r2 - r1)))
+        if m < worst:
+            a, b = np.unravel_index(int(np.argmin(-dg)), dg.shape)
+            worst, witness = m, (tuple(rhos[a + 1] * dirs[b]), tuple(nu))
+    return worst, witness
+
+
 def in_cone_exact(kind, point, k, alpha=0):
     """Strict membership of the exact rational value of a float point:
     sigma_1..sigma_k > 0 for Gamma_k ('garding'); sigma_1..sigma_{k-1} > 0

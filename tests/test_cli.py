@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -22,6 +23,12 @@ def test_parse_minimal_config():
     assert cfg.command == "check-condition-c"
     assert cfg.operator["n"] == 3
     assert cfg.seed == 0 and cfg.trials == 1000  # defaults filled
+    for f in dataclasses.fields(cli.RunConfig):  # all of them RunConfig's own
+        if f.name not in ("command", "operator"):
+            default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+            assert getattr(cfg, f.name) == default, f.name
+    cfg = cli.parse_config(MINIMAL.replace("[run]", "[run]\ntol = 1e-9\noutput_dir = elsewhere"))
+    assert (cfg.tol, cfg.output_dir, cfg.seed) == (1e-9, "elsewhere", 0)
 
 
 def test_parse_errors_name_lines():

@@ -124,6 +124,9 @@ def test_profile_roots_quadratic_and_complex():
         combop.profile_roots(PolyCoeffs((0,)))
     with pytest.raises(DomainError):
         combop.profile_roots(PolyCoeffs((5,)))
+    for p in ([10**400, 0, 1], PolyCoeffs((1, 0, F(10**400, 3)))):
+        with pytest.raises(DomainError, match="beyond float range"):
+            combop.profile_roots(p)
 
 
 def test_profile_derivative_matches_gradient_sum():

@@ -134,5 +134,10 @@ def test_ellipticity_examples_and_scan():
 
 
 def test_report_str():
-    rep = cones.segment_convexity_check(ConeSpec("tilde", 3, 2, 1.0), 10, seed=1)
-    assert "PASS" in str(rep)
+    spec = ConeSpec("tilde", 3, 2, 1.0)
+    passed = cones.segment_convexity_check(spec, 10, seed=1)
+    failed = cones.VerificationReport(False, 5, -1.0, 0)
+    empty = cones.segment_convexity_check(spec, 0, seed=1)
+    assert (passed.tag, failed.tag, empty.tag) == ("PASS", "FAIL", "FAIL (inconclusive)")
+    for rep in (passed, failed, empty):
+        assert str(rep).startswith(rep.tag + " trials=")

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from oracles import fd_jacobian_dense
+from oracles import (barrier_monotonicity_loop, fd_jacobian_dense, in_cone_exact,
+                     normalized_margin_exact)
 from symcurv import geomsolve as gs
 from symcurv.combop import OperatorSpec, q_eval
 from symcurv.errors import ConeExitError, ConvergenceError, DomainError
@@ -68,6 +69,36 @@ def test_residual_examples():
     psi_q = gs.PsiSpec("constant", c=float(q_eval(OP, (1.0, 1.0))) / 4)
     want = float(q_eval(OP, (1.0, 1.0))) * (1 - 0.25)
     assert gs.residual(unit, OP, psi_q) == pytest.approx(want * np.ones(g.shape))
+
+
+# (operator, its cone as (kind, k, alpha), points where a defining quantity of
+# that cone is exactly 0)
+_ADMISSIBILITY_CASES = [
+    (OperatorSpec(2, 1, (0, 1)), ("tilde", 1, 0), [(1.0, -1.0), (0.0, 0.0)]),       # Gamma_1
+    (OperatorSpec(2, 1, (0.5, 1)), ("tilde", 1, 0.5), [(0.0, -0.5), (0.25, -0.75)]),
+    (OperatorSpec(2, 1, (2, 1)), ("tilde", 1, 2), [(0.0, -2.0), (1.0, -3.0)]),
+    (OperatorSpec(2, 2, (1, 0, 1)), ("garding", 2, 0), [(1.0, 0.0), (1.0, -1.0), (0.0, 0.0)]),
+    (OperatorSpec(2, 2, (1, 0.5, 1)), ("garding", 2, 0), [(0.0, 3.0), (-1.0, 1.0)]),
+    (OperatorSpec(2, 2, (0, 0, 1)), ("tilde", 2, 0), [(1.0, 0.0), (1.0, -1.0), (0.0, 0.0)]),
+    (OperatorSpec(2, 2, (0, 0.5, 1)), ("tilde", 2, 0.5), [(0.5, -0.25), (1.0, -1.0), (0.0, 0.0)]),
+    (OperatorSpec(2, 2, (0, 2, 1)), ("tilde", 2, 2), [(2.0, -1.0), (1.0, -1.0), (0.0, 0.0)]),
+]
+
+
+@pytest.mark.parametrize("op, cone, boundary", _ADMISSIBILITY_CASES)
+def test_admissibility_agrees_with_exact_membership(op, cone, boundary):
+    # Gamma~_k for sum-type operators (k = 1 always is), Gamma_k otherwise;
+    # random pairs off the boundary, and exact boundary points, which are out
+    kind, k, alpha = cone
+    rng = np.random.default_rng(11)
+    pts = rng.normal(size=(4000, 2)) * 10.0 ** rng.uniform(-3, 3, size=(4000, 1))
+    pts = np.array([p for p in pts
+                    if abs(normalized_margin_exact(kind, p, k, alpha)) > 1e-12] + boundary)
+    assert not any(in_cone_exact(kind, p, k, alpha) for p in boundary)
+    want = [i for i, p in enumerate(pts) if not in_cone_exact(kind, p, k, alpha)]
+    assert [i for (i,) in gs._inadmissible_nodes(op, pts)] == want
+    # the origin has margin 0 in every cone, Gamma~_1 with alpha > 0 included
+    assert gs._inadmissible_nodes(op, np.zeros((1, 2))) == [(0,)]
 
 
 def test_residual_cone_exit():
@@ -263,6 +294,58 @@ def test_barrier_examples():
     assert rep_bad.witness is not None
     with pytest.raises(DomainError):
         gs.barrier_check(psi_eq, OP, 2.0, 0.5)
+
+
+@pytest.mark.parametrize("op, psi, r1, r2, mono_worst", [
+    (OP, gs.PsiSpec("constant", c=1.25), 0.5, 2.0, True),
+    (OP, gs.PsiSpec("radial-power", c=2.0, p=3.0), 0.5, 2.0, True),
+    (OP, gs.PsiSpec("anisotropic-radial", c=3.0, p=3.0, eps=0.1, axis=(0, 0, 1)), 0.5, 2.0, True),
+    (OP, gs.PsiSpec("manufactured-ellipsoid", axes=(1.0, 1.0, 1.2), op=OP), 0.5, 2.0, False),
+    # k = 3: here r^3 by numpy's array power would move the margin's last bit
+    (OperatorSpec.sum_type(3, 3, 1.0),
+     gs.PsiSpec("anisotropic-radial", c=3.0, p=2.5, eps=0.1, axis=(0, 0, 1)), 0.3, 7.1, False),
+])
+def test_barrier_monotonicity_equals_loop_oracle(op, psi, r1, r2, mono_worst):
+    rep = gs.barrier_check(psi, op, r1, r2)
+    margin, witness = barrier_monotonicity_loop(psi, op.k, r1, r2, gs._direction_grid())
+    assert rep.details["monotonicity_margin"] == margin
+    assert (rep.worst_value == margin) == mono_worst
+    if mono_worst:
+        assert rep.witness == witness
+
+
+def _small_path():
+    g = gs.SphereGrid(16, 8)
+    psi = gs.PsiSpec("anisotropic-radial", c=3.0, p=3.0, eps=0.1, axis=(0, 0, 1))
+    return psi, gs.homotopy_solve(OP, psi, g, 0.5, 2.0, steps=4, eps=1e-2)
+
+
+def test_monitor_path_summarises_recomputed_records():
+    _, path = _small_path()
+    records = [gs.curvature_monitor(s) for s in path.surfaces]
+    summary = {
+        "max_kappa1": max(r["max_kappa1"] for r in records),
+        "min_support": min(r["min_support"] for r in records),
+        "p_moments": {m: max(r["p_moments"][m] for r in records) for m in (2, 6, 10)},
+    }
+    assert gs.monitor_path(path) == (records, summary)
+
+
+def test_path_csv_residual_norm_is_surface_max_residual(tmp_path):
+    psi, path = _small_path()
+    gs.write_path_csv(tmp_path, path, OP, psi, 1e-2)
+    rows = (tmp_path / "path.csv").read_text().strip().splitlines()
+    assert rows[0] == "t,max_kappa1,min_support,residual_norm"
+    assert len(rows) == 1 + len(path.ts)
+    for idx, row in enumerate(rows[1:]):
+        lines = (tmp_path / f"surface_{idx:04d}.csv").read_text().strip().splitlines()
+        res = [float(line.split(",")[-1]) for line in lines[1:]]
+        assert float(row.split(",")[-1]) == max(abs(r) for r in res)
+        surf = path.surfaces[idx]
+        again = gs.write_solution_csv(tmp_path / "again.csv", surf, OP,
+                                      gs._BlendedPsi(psi, OP, path.ts[idx], 1e-2))
+        assert again.shape == surf.grid.shape
+        assert again.ravel().tolist() == res
 
 
 def test_homotopy_constant_sphere_path():

@@ -61,6 +61,10 @@ def test_widely_scaled_coefficients_neither_overflow_nor_underflow():
     assert not r.all_real
     assert sorted(w.imag for w in r.witness) == pytest.approx([-1e200, 1e200], rel=1e-12)
     assert all(abs(w.real) <= 1e-12 * 1e200 for w in r.witness)
+    # numeric mode converts to float, so it rejects such coefficients
+    for p in ([10**400, 0, 1], [1, 0, F(10**400, 3)]):
+        with pytest.raises(DomainError, match="beyond float range"):
+            hypcheck.real_rooted(p, mode="numeric")
 
 
 # products of (a t + b)^m with distinct roots -b/a, optionally times t^2 + c
