@@ -220,12 +220,12 @@ def cone_margins_batch(spec, points):
     """Normalized cone margins for an (..., n) array of points (vectorized).
 
     sigma_m(x) / (C(n,m) max|x|^m) is computed as sigma_m(x / max|x|) / C(n,m),
-    so no power of max|x| can underflow or overflow."""
+    so no power of max|x| can underflow or overflow.  The origin's margin is
+    that of sigma_0 = 1: alpha / alpha = 1 in Gamma~_1 with alpha > 0, else 0."""
     cols = _entry_major(points)
     k = spec.k
     top = np.abs(cols).max(axis=0)
-    nonzero = top > 0.0
-    e = _sigma_rows(cols / np.where(nonzero, top, 1.0), k)
+    e = _sigma_rows(cols / np.where(top > 0.0, top, 1.0), k)
     binom = _binom_column(spec.n, k, top.ndim)
     if spec.kind == "garding":
         out = (e[1:] / binom[1:]).min(axis=0)
@@ -233,10 +233,13 @@ def cone_margins_batch(spec, points):
         # (alpha sigma_{k-1} + sigma_k) / (C(n,k) top^k + alpha C(n,k-1) top^(k-1)),
         # divided through by top^(k-1)
         alpha = float(spec.alpha)
-        out = (alpha * e[k - 1] + top * e[k]) / (alpha * binom[k - 1] + top * binom[k])
+        den = alpha * binom[k - 1] + top * binom[k]
+        if alpha == 0.0:   # den is 0 at the origin, and so is the numerator
+            den = np.where(top > 0.0, den, 1.0)
+        out = (alpha * e[k - 1] + top * e[k]) / den
         if k > 1:
             out = np.minimum((e[1:k] / binom[1:k]).min(axis=0), out)
-    return np.where(nonzero, out, 0.0)
+    return out
 
 
 _LADDER = np.linspace(1.0 / 48, 1.0, 48)

@@ -9,17 +9,22 @@ Geometry comes from the standard radial-graph formulas: with W^2 = rho^2 +
     metric      g = rho^2 e + d rho (x) d rho
     normal      nu = (rho r_hat - grad rho) / W
     2nd form    h = (rho^2 e + 2 d rho (x) d rho - rho Hess rho) / W
-    curvatures  kappa = eigenvalues of g^{-1} h   (sorted descending)
+    shape op.   S = L^-1 h L^-T in the orthonormal frame of g = L L^T
 
 The equation Q(kappa) = psi(X, nu) is solved by damped Newton, and by
 homotopy continuation from a round start for data satisfying the barrier
-conditions.  A node is admissible iff its cones.cone_margins_batch margin
-in the operator's cone (Gamma~_k for sum-type operators, Gamma_k otherwise)
-is positive.  The residual at a node reads only its 3x3 stencil, so Newton
-builds a colored sparse forward-difference Jacobian (one perturbed surface
-per group of columns that share no row; Curtis, Powell and Reid 1974) and
-factors it with a sparse LU.  monitor_path(path) summarises the records
-homotopy_solve kept; write_solution_csv returns the residual it wrote.
+conditions.  The residual is Q = sum_j alpha_j sigma_j with
+sigma = (1, tr S, det S); the curvature pair kappa (the eigenvalues of S)
+is split off only for admissibility and output.  A node is admissible iff
+its cones.cone_margins_batch margin in the operator's cone (Gamma~_k for
+sum-type operators, Gamma_k otherwise) is positive.  The residual at a
+node reads only its 3x3 stencil, so Newton builds a colored sparse
+forward-difference Jacobian (one perturbed surface per group of columns
+that share no row; Curtis, Powell and Reid 1974) and factors it with
+SuperLU under the minimum-degree ordering on A + A^T, the fill-reducing
+ordering for a structurally symmetric pattern such as the stencil's.
+monitor_path(path) summarises the records homotopy_solve kept;
+write_solution_csv returns the residual it wrote.
 """
 
 import csv
@@ -38,7 +43,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
 )
-from .combop import OperatorSpec, q_eval, q_eval_batch
+from .combop import OperatorSpec, q_eval
 from .cones import ConeSpec, VerificationReport, cone_margins_batch
 
 __all__ = [
@@ -186,7 +191,10 @@ class SurfaceGeometry:
 
 
 def _geometry(rho, grid):
-    """Geometry arrays for a batch of rho fields (shape (..., n_lat, n_lon))."""
+    """Geometry arrays for a batch of rho fields (shape (..., n_lat, n_lon)):
+    X, nu, the shape operator (s11, s12, s22) in the orthonormal tangent
+    frame that the Cholesky factor of g gives (e_1 along d/dtheta), and the
+    support <X, nu>."""
     th = grid.theta[:, None]
     st, ct = np.sin(th), np.cos(th)
     cot = ct / st
@@ -208,25 +216,36 @@ def _geometry(rho, grid):
     h_tp = (2.0 * r_t * r_p - rho * hess_tp) / w
     h_pp = ((rho * st) ** 2 + 2.0 * r_p**2 - rho * hess_pp) / w
 
+    # S = L^-1 h L^-T with g = L L^T, L = [[sqrt(g_tt), 0], [c sqrt(g_tt), sqrt(det_g / g_tt)]]
     det_g = g_tt * g_pp - g_tp**2
-    det_h = h_tt * h_pp - h_tp**2
-    tr = (g_pp * h_tt - 2.0 * g_tp * h_tp + g_tt * h_pp) / det_g
-    det = det_h / det_g
-    disc = np.sqrt(np.maximum(tr**2 - 4.0 * det, 0.0))
-    kappa = np.stack([(tr + disc) / 2.0, (tr - disc) / 2.0], axis=-1)
+    c = g_tp / g_tt
+    s11 = h_tt / g_tt
+    s12 = (h_tp - c * h_tt) / np.sqrt(det_g)
+    s22 = (h_pp - 2.0 * c * h_tp + c**2 * h_tt) * g_tt / det_g
 
     r_hat, t_hat, p_hat = grid.unit_vectors()
     grad_vec = r_t[..., None] * t_hat + (r_p / st)[..., None] * p_hat
     X = rho[..., None] * r_hat
-    nu = (rho[..., None] * r_hat - grad_vec) / w[..., None]
+    nu = (X - grad_vec) / w[..., None]
     support = rho**2 / w
-    return X, nu, kappa, support
+    return X, nu, (s11, s12, s22), support
+
+
+def _principal(shape):
+    """Principal curvatures (last axis, descending) of the shape operator
+    (s11, s12, s22) in an orthonormal frame.  The discriminant
+    sqrt((s11 - s22)^2 + 4 s12^2) does not cancel near umbilic points, as
+    sqrt(tr^2 - 4 det) would."""
+    s11, s12, s22 = shape
+    tr = s11 + s22
+    disc = np.sqrt((s11 - s22) ** 2 + 4.0 * s12**2)
+    return np.stack([(tr + disc) / 2.0, (tr - disc) / 2.0], axis=-1)
 
 
 def surface_geometry(surface):
     """Full geometry of one surface; curvatures sorted descending per node."""
-    X, nu, kappa, support = _geometry(surface.rho, surface.grid)
-    return SurfaceGeometry(X=X, nu=nu, kappa=kappa, support=support,
+    X, nu, shape, support = _geometry(surface.rho, surface.grid)
+    return SurfaceGeometry(X=X, nu=nu, kappa=_principal(shape), support=support,
                            rho=surface.rho, grid=surface.grid)
 
 
@@ -241,12 +260,20 @@ def _inadmissible_nodes(op, kappa):
     return [tuple(i) for i in np.argwhere(~(cone_margins_batch(cone, kappa) > 0.0))]
 
 
+def _q_invariants(op, tr, det):
+    """Q = sum_j alpha_j sigma_j of a 2x2 shape operator from its invariants
+    sigma = (1, tr, det) (sigma_j = 0 for j > 2)."""
+    a0, a1, a2 = ([float(a) for a in op.alphas] + [0.0])[:3]
+    return a0 + a1 * tr + a2 * det
+
+
 def _residual_raw(rho, grid, op, psi):
-    """Q(kappa) - psi per node, and the geometry (X, nu, kappa, support) it
-    was computed from (no admissibility test, no raising)."""
+    """Q - psi per node, Q from tr and det of the shape operator, and the
+    geometry (X, nu, shape operator, support) it was computed from (no
+    admissibility test, no raising)."""
     geo = _geometry(rho, grid)
-    X, nu, kappa, _ = geo
-    return q_eval_batch(op, kappa) - psi.evaluate(X, nu), geo
+    X, nu, (s11, s12, s22), _ = geo
+    return _q_invariants(op, s11 + s22, s11 * s22 - s12**2) - psi.evaluate(X, nu), geo
 
 
 def residual(surface, op, psi):
@@ -254,8 +281,8 @@ def residual(surface, op, psi):
     offending nodes) if any node's curvatures leave the admissible cone."""
     if op.n != 2:
         raise DomainError("surface solving is fixed to n=2 (two principal curvatures)")
-    res, (_, _, kappa, _) = _residual_raw(surface.rho, surface.grid, op, psi)
-    bad = _inadmissible_nodes(op, kappa)
+    res, (_, _, shape, _) = _residual_raw(surface.rho, surface.grid, op, psi)
+    bad = _inadmissible_nodes(op, _principal(shape))
     if bad:
         raise ConeExitError(
             f"curvatures leave the admissible cone at {len(bad)} node(s)", nodes=bad
@@ -272,8 +299,9 @@ class PsiSpec:
 
     families: 'constant' (c), 'radial-power' (c / |X|^p),
     'anisotropic-radial' (c/|X|^p * (1 + eps <nu, e>), |eps| < 1),
-    'manufactured-ellipsoid' (Q(kappa) of the ellipsoid with the given axes,
-    evaluated at the radial projection of X onto the ellipsoid).
+    'manufactured-ellipsoid' (Q of the ellipsoid with the given axes at the
+    radial projection of X onto it, from the closed-form tr and det of its
+    shape operator).
     """
 
     family: str
@@ -307,19 +335,15 @@ class PsiSpec:
     def evaluate(self, X, nu):
         """Vectorized over leading axes of X, nu (last axis = 3)."""
         X = np.asarray(X, float)
-        nu = np.asarray(nu, float)
-        r = np.linalg.norm(X, axis=-1)
+        if self.family == "manufactured-ellipsoid":
+            return _q_invariants(self.op, *_ellipsoid_invariants(X, self.axes))
         if self.family == "constant":
-            return np.full_like(r, self.c)
+            return np.full(X.shape[:-1], self.c)
+        r = np.linalg.norm(X, axis=-1)
         if self.family == "radial-power":
             return self.c / r**self.p
-        if self.family == "anisotropic-radial":
-            e = np.asarray(self.axis)
-            return self.c / r**self.p * (1.0 + self.eps * (nu @ e))
-        d = X / r[..., None]
-        point = ellipsoid_radial_graph(d, self.axes)[..., None] * d
-        kappa = ellipsoid_curvatures(point, self.axes)
-        return q_eval_batch(self.op, kappa)
+        e = np.asarray(self.axis)
+        return self.c / r**self.p * (1.0 + self.eps * (np.asarray(nu, float) @ e))
 
 
 def ellipsoid_radial_graph(directions, axes):
@@ -327,6 +351,20 @@ def ellipsoid_radial_graph(directions, axes):
     d = np.asarray(directions, float)
     a = np.asarray(axes, float)
     return 1.0 / np.sqrt(((d / a) ** 2).sum(axis=-1))
+
+
+def _ellipsoid_invariants(X, axes):
+    """tr and det of the ellipsoid's shape operator W at the ellipsoid point
+    on the ray through each X (last axis = 3), in closed form (Goldman 2005).
+
+    For F = sum (x_i/a_i)^2 - 1, H = Hess F = diag(h), h_i = 2/a_i^2, and
+    m = grad F / |grad F|: tr W = (tr H - m'Hm) / |grad F| and
+    det W = m' adj(H) m / |grad F|^2.  With q = X*X and the moments
+    A = q.h, B = q.h^2, C = q.h^3, on the ray's ellipsoid point these are
+    tr W = (tr H - C/B) sqrt(A / 2B) and det W = det H A^2 / 2B^2."""
+    h = 2.0 / np.asarray(axes, float) ** 2
+    A, B, C = np.moveaxis(X * X @ h[:, None] ** [1, 2, 3], -1, 0)
+    return (h.sum() - C / B) * np.sqrt(A / (2.0 * B)), h.prod() * A**2 / (2.0 * B**2)
 
 
 def ellipsoid_curvatures(points, axes):
@@ -456,8 +494,8 @@ def newton_solve(initial, op, psi, opts=None):
     opts = opts or SolveOptions()
     grid = initial.grid
     rho = initial.rho.copy()
-    res, (X, nu, kappa, _) = _residual_raw(rho, grid, op, psi)
-    bad = _inadmissible_nodes(op, kappa)
+    res, (X, nu, shape, _) = _residual_raw(rho, grid, op, psi)
+    bad = _inadmissible_nodes(op, _principal(shape))
     if bad:
         raise ConeExitError("initial surface is not admissible", nodes=bad)
     psi_scale = float(np.max(np.abs(psi.evaluate(X, nu))))
@@ -476,7 +514,7 @@ def newton_solve(initial, op, psi, opts=None):
         diag.jacobian_s.append(t1 - t0)
         diag.residual_evals.append(_jacobian_pattern(grid).n_colors)
         try:
-            lu = scipy.sparse.linalg.splu(jac)
+            lu = scipy.sparse.linalg.splu(jac, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
             diag.linsolve_s.append(perf_counter() - t1)
             diag.line_search_s.append(0.0)
@@ -492,10 +530,10 @@ def newton_solve(initial, op, psi, opts=None):
             cand = rho + scale * step
             if np.all(cand > 0):
                 diag.residual_evals[-1] += 1
-                cand_res, (_, _, cand_kappa, _) = _residual_raw(cand, grid, op, psi)
+                cand_res, (_, _, cand_shape, _) = _residual_raw(cand, grid, op, psi)
                 cand_norm = float(np.max(np.abs(cand_res)))
                 if (np.isfinite(cand_norm) and cand_norm < norm
-                        and not _inadmissible_nodes(op, cand_kappa)):
+                        and not _inadmissible_nodes(op, _principal(cand_shape))):
                     rho, res, norm = cand, cand_res, cand_norm
                     diag.iterations[-1] = (norm, scale, halving)
                     accepted = True
@@ -742,7 +780,8 @@ def write_solution_csv(path, surface, op, psi):
     """One row per node: lon_index,lat_index,phi,theta,rho,kappa1,kappa2,support,residual.
     Returns the residual column, Q(kappa) - psi per node (shape (n_lat, n_lon))."""
     grid = surface.grid
-    res, (_, _, kappa, support) = _residual_raw(surface.rho, grid, op, psi)
+    res, (_, _, shape, support) = _residual_raw(surface.rho, grid, op, psi)
+    kappa = _principal(shape)
     theta, phi = grid.theta, grid.phi
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

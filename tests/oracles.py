@@ -92,6 +92,27 @@ def fd_jacobian_dense(f, x, steps):
     return out
 
 
+def kappa_residual(op, shape, X, nu, psi):
+    """Q(kappa) - psi per node, with kappa the eigenvalue pair of the
+    symmetric shape operator [[s11, s12], [s12, s22]] (numpy's eigvalsh) and
+    Q through sigma_all_batch on it.  A manufactured-ellipsoid psi is Q of
+    ellipsoid_curvatures at the radial projection of X onto the ellipsoid."""
+    from symcurv.geomsolve import ellipsoid_curvatures, ellipsoid_radial_graph
+    from symcurv.symfun import sigma_all_batch
+
+    def q(kappa):
+        return sigma_all_batch(kappa, op.k) @ np.array([float(a) for a in op.alphas])
+
+    s11, s12, s22 = shape
+    kappa = np.linalg.eigvalsh(np.stack([np.stack([s11, s12], -1),
+                                         np.stack([s12, s22], -1)], -2))
+    if getattr(psi, "family", None) == "manufactured-ellipsoid":
+        d = X / np.linalg.norm(X, axis=-1, keepdims=True)
+        point = ellipsoid_radial_graph(d, psi.axes)[..., None] * d
+        return q(kappa) - q(ellipsoid_curvatures(point, psi.axes))
+    return q(kappa) - psi.evaluate(X, nu)
+
+
 def barrier_monotonicity_loop(psi, k, r1, r2, dirs, n_rho=33):
     """Radial monotonicity margin of rho^k psi over [r1, r2], one psi call
     per (normal, radius) pair: for each normal nu (the directions, then

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from oracles import in_cone_exact
 from symcurv import cones, symfun
 from symcurv.combop import OperatorSpec
 from symcurv.cones import ConeSpec
@@ -40,6 +43,21 @@ def test_margins_batch_agrees_with_scalar():
         for margin, p in zip(batch, pts):
             assert margin == pytest.approx(cones.cone_margin(spec, tuple(p)), rel=1e-12)
             assert (margin > spec.tol) == cones.cone_contains(spec, tuple(p))
+
+
+@pytest.mark.parametrize("kind", ["garding", "tilde"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("alpha", [0, 0.5, 2])
+def test_origin_margin_matches_exact_membership(kind, k, alpha):
+    # the origin is strictly inside Gamma~_1 when alpha > 0 (alpha sigma_0 > 0)
+    # and on the boundary of every other cone; computed without a 0/0
+    spec = ConeSpec(kind, 2, k, alpha)
+    want = in_cone_exact(kind, (0.0, 0.0), k, alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        margins = cones.cone_margins_batch(spec, np.zeros((3, 2)))
+        assert cones.cone_contains(spec, (0.0, 0.0)) == want
+    assert margins.tolist() == [1.0 if want else 0.0] * 3
 
 
 def test_sample_cone_postconditions_and_determinism():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from oracles import (barrier_monotonicity_loop, fd_jacobian_dense, in_cone_exact,
-                     normalized_margin_exact)
+                     kappa_residual, normalized_margin_exact)
 from symcurv import geomsolve as gs
 from symcurv.combop import OperatorSpec, q_eval
 from symcurv.errors import ConeExitError, ConvergenceError, DomainError
@@ -44,6 +45,32 @@ def test_ellipsoid_curvature_oracle_against_sphere():
     pts = np.array([[2.0, 0, 0], [0, 2.0, 0], [0, 0, 2.0], [2 / np.sqrt(2), 2 / np.sqrt(2), 0]])
     kappa = gs.ellipsoid_curvatures(pts, (2.0, 2.0, 2.0))
     assert np.allclose(kappa, 0.5)
+
+
+def test_principal_curvatures_do_not_cancel_near_umbilics():
+    # every node of a sphere is umbilic: 1e-13 relative noise on rho must not
+    # move kappa by more than it moves kappa_1 + kappa_2
+    g = gs.SphereGrid(32, 16)
+    rho = np.full(g.shape, 2.0)
+    noisy = rho * (1.0 + 1e-13 * np.random.default_rng(0).normal(size=g.shape))
+    k0 = gs.surface_geometry(gs.RadialSurfaceField(rho, g)).kappa
+    k1 = gs.surface_geometry(gs.RadialSurfaceField(noisy, g)).kappa
+    assert np.abs(k1 - k0).max() <= 2.0 * np.abs(k1.sum(-1) - k0.sum(-1)).max()
+
+
+@pytest.mark.parametrize("axes", [(1.0, 1.0, 1.2), (1.0, 2.0, 3.0), (2.0, 2.0, 2.0)])
+def test_ellipsoid_invariants_match_curvature_pair(axes):
+    # closed-form tr W and det W against the sum and product of the curvature
+    # pair from a tangent frame, at any point of the ray
+    rand = np.random.default_rng(3).normal(size=(4000, 3))
+    for d in (gs.SphereGrid(64, 32).unit_vectors()[0].reshape(-1, 3),
+              rand / np.linalg.norm(rand, axis=-1, keepdims=True)):
+        point = gs.ellipsoid_radial_graph(d, axes)[:, None] * d
+        kappa = gs.ellipsoid_curvatures(point, axes)
+        for X in (point, d, 2.5 * d):
+            tr, det = gs._ellipsoid_invariants(X, axes)
+            assert np.all(np.abs(tr - kappa.sum(-1)) <= 1e-14 * np.abs(kappa.sum(-1)))
+            assert np.all(np.abs(det - kappa.prod(-1)) <= 1e-14 * np.abs(kappa.prod(-1)))
 
 
 def test_ellipsoid_geometry_second_order():
@@ -97,8 +124,9 @@ def test_admissibility_agrees_with_exact_membership(op, cone, boundary):
     assert not any(in_cone_exact(kind, p, k, alpha) for p in boundary)
     want = [i for i, p in enumerate(pts) if not in_cone_exact(kind, p, k, alpha)]
     assert [i for (i,) in gs._inadmissible_nodes(op, pts)] == want
-    # the origin has margin 0 in every cone, Gamma~_1 with alpha > 0 included
-    assert gs._inadmissible_nodes(op, np.zeros((1, 2))) == [(0,)]
+    # the origin is admissible exactly where it is inside: Gamma~_1 with alpha > 0
+    origin_out = not in_cone_exact(kind, (0.0, 0.0), k, alpha)
+    assert gs._inadmissible_nodes(op, np.zeros((1, 2))) == ([(0,)] if origin_out else [])
 
 
 def test_residual_cone_exit():
@@ -149,6 +177,18 @@ def _jacobian_cases(grid):
     ]
 
 
+@pytest.mark.parametrize("shape", [(16, 8), (32, 16)])
+def test_invariant_residual_agrees_with_kappa_oracle(shape):
+    # Q from (1, tr W, det W), and the manufactured psi from the ellipsoid's
+    # tr and det, against Q of the eigenvalue pairs
+    grid = gs.SphereGrid(*shape)
+    for surf, psi in _jacobian_cases(grid):
+        res, (X, nu, shape_op, _) = gs._residual_raw(surf.rho, grid, OP, psi)
+        want = kappa_residual(OP, shape_op, X, nu, psi)
+        scale = np.abs(psi.evaluate(X, nu)).max()
+        assert np.abs(res - want).max() <= 1e-12 * scale, psi
+
+
 @pytest.mark.parametrize("shape", [(4, 2), (10, 5), (16, 8), (32, 16)])
 def test_colored_jacobian_equals_dense_oracle(shape):
     # each residual row reads only its stencil, so grouping columns changes
@@ -192,6 +232,40 @@ def test_newton_singular_jacobian_raises(monkeypatch):
     assert np.array_equal(err.value.last_surface.rho, initial.rho)
     assert err.value.diagnostics.n_iter == 1
     assert not err.value.diagnostics.converged
+
+
+def test_newton_step_solves_the_linear_system_at_128x64(monkeypatch):
+    # the step from the fill-reducing sparse LU solves J s = -F
+    grid = gs.SphereGrid(128, 64)
+    psi = gs.PsiSpec("manufactured-ellipsoid", axes=(1.0, 1.0, 1.2), op=OP)
+    initial = gs.RadialSurfaceField.sphere(grid, 1.05)
+    seen = {}
+    splu = scipy.sparse.linalg.splu
+
+    class Recording:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            seen["step"] = self.lu.solve(rhs)
+            return seen["step"]
+
+    def recording_splu(jac, **kwargs):
+        seen["jac"] = jac
+        return Recording(splu(jac, **kwargs))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+    with pytest.raises(ConvergenceError):
+        gs.newton_solve(initial, OP, psi, gs.SolveOptions(max_iter=1, max_halvings=0))
+    F = gs._residual_raw(initial.rho, grid, OP, psi)[0].ravel()
+    jac, step = seen["jac"], seen["step"]
+    r = jac @ step + F
+    assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(F)
+    # sup norm: the pole rows hold entries near 2.4e6, so rounding alone puts
+    # |J s + F| near eps (|J||s| + |F|) ~ 1.5e-10 |F| there; the step must be
+    # backward stable row by row
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(r) / (abs(jac) @ np.abs(step) + np.abs(F))) <= 64 * eps
 
 
 def test_newton_telemetry_adds_up(monkeypatch):
