@@ -242,8 +242,13 @@ def cone_margins_batch(spec, points):
     return out
 
 
-_LADDER = np.linspace(1.0 / 48, 1.0, 48)
-_LADDER_BLEND = (1.0 - _LADDER[:, None], _LADDER[:, None])
+# the boundary ladder: position j of a segment p -> v is the blend
+# (1 - L[j]) p + L[j] v; position 0 is p itself, 1..48 step to v evenly
+_LADDER = np.concatenate([[0.0], np.linspace(1.0 / 48, 1.0, 48)])
+_COARSE = np.arange(8, 49, 8)  # level one: every 8th position
+_COARSE_BLEND = (1.0 - _LADDER[_COARSE, None], _LADDER[_COARSE, None])
+_FINE = np.arange(1, 8)        # level two: the 7 positions after level one's
+_LADDER_INSIDE = 0.999 * _LADDER  # a candidate's blend parameter is at most this
 _MAX_TRIES = 200
 _TRY_GROUP = 8  # a trial's sampler tries are drawn in groups of this many
 
@@ -255,26 +260,60 @@ def _pass_rounds(pending):
     return min(8, max(1, 256 // pending))
 
 
-def _candidates(spec, u, boundary_bias):
-    """One try per row of uniforms u (m, >= 2n+3): a positive-orthant draw,
-    mixed toward a direction with one negative entry and pulled back just
-    inside the boundary where u[:, n] < boundary_bias (per row)."""
+@lru_cache(maxsize=None)
+def _one_negative(n):
+    """Row i: the sign vector with -1 in entry i and +1 elsewhere."""
+    signs = 1.0 - 2.0 * np.eye(n)
+    signs.flags.writeable = False
+    return signs
+
+
+def _ladder_top(spec, p, v):
+    """The ladder position, per row, that approximates the boundary from
+    inside along the segment p -> v (rows of p, v): 0 when no ladder
+    point is feasible (margin > tol).
+
+    The feasible blend parameters form an interval around 0 (the cone is
+    convex and contains p), so in exact arithmetic feasibility is monotone
+    along the ladder.  Level one evaluates every 8th position and keeps
+    the last feasible one; level two evaluates the 7 positions after it
+    (on the rows where level one stopped short of the end) and keeps the
+    last feasible one there: at most 13 points in 2 calls.  On a monotone
+    row that is the largest feasible position.  On a row made non-monotone
+    by rounding it is a feasible position whose successor is infeasible or
+    past the end."""
+    p, v = p[:, None, :], v[:, None, :]
+    rest, lam = _COARSE_BLEND
+    top = ((cone_margins_batch(spec, rest * p + lam * v) > spec.tol) * _COARSE).max(axis=1)
+    short = (top < _COARSE[-1]).nonzero()[0]
+    if short.size:
+        fine = top[short, None] + _FINE
+        lam = _LADDER[fine][..., None]
+        ok = cone_margins_batch(spec, (1.0 - lam) * p[short] + lam * v[short]) > spec.tol
+        top[short] = np.maximum((ok * fine).max(axis=1), top[short])
+    return top
+
+
+def _candidates(spec, u, mixed):
+    """One try per row of uniforms u (m, >= 2n+3): a positive-orthant draw
+    p, and where the boolean mask `mixed` is set, a point mixed toward a
+    direction v with one negative entry and pulled back just inside the
+    boundary: a random fraction of the way to the ladder position that
+    _ladder_top finds on p -> v (two levels, at most 13 margins; the
+    largest feasible position on a monotone ladder, a feasible one with an
+    infeasible successor on a ladder that rounding made non-monotone)."""
     n = spec.n
     # p = u[:, :n] and v = u[:, n+1:2n+1] mapped to magnitudes in one step
     pv = 10.0 ** (_MAG_LO + (_MAG_HI - _MAG_LO) * u[:, : 2 * n + 1])
     cand = pv[:, :n]
-    mixed = (u[:, n] < boundary_bias).nonzero()[0]
-    if mixed.size:
-        um, p = u[mixed], cand[mixed]
-        neg = np.minimum((um[:, 2 * n + 1] * n).astype(int), n - 1)
-        v = np.where(np.arange(n) == neg[:, None], -1.0, 1.0) * pv[mixed, n + 1:]
-        # feasible blend parameters form an interval around 0 (convex
-        # cone), so the largest feasible ladder point approximates the
-        # boundary from inside
-        feasible = cone_margins_batch(spec, _LADDER_BLEND[0] * p[:, None, :]
-                                      + _LADDER_BLEND[1] * v[:, None, :]) > spec.tol
-        t = (0.999 * (feasible * _LADDER).max(axis=1) * um[:, 2 * n + 2] ** 0.25)[:, None]
-        cand[mixed] = (1.0 - t) * p + t * v
+    rows = mixed.nonzero()[0]
+    if rows.size:
+        pvm, w = pv[rows], u[rows, 2 * n + 1:]
+        p = pvm[:, :n]
+        # the negative entry: floor(w0 n), kept below n against rounding
+        v = _one_negative(n)[np.minimum((w[:, 0] * n).astype(int), n - 1)] * pvm[:, n + 1:]
+        t = (_LADDER_INSIDE[_ladder_top(spec, p, v)] * w[:, 1] ** 0.25)[:, None]
+        cand[rows] = (1.0 - t) * p + t * v
     return cand
 
 
@@ -300,13 +339,15 @@ def _sample_rounds(spec, draw, active, boundary_bias, floor, max_tries=_MAX_TRIE
         # round 0 goes alone
         rounds = 1 if r == 0 and floor.max() <= spec.tol else min(
             max_tries - r, _pass_rounds(rows.size), _TRY_GROUP - r % _TRY_GROUP)
-        u = draw(r, rounds, rows).reshape(rounds * rows.size, -1)
-        cand = _candidates(spec, u, np.tile(boundary_bias[rows], rounds))
-        ok = (cone_margins_batch(spec, cand) >= np.tile(floor[rows], rounds)).reshape(rounds, -1)
+        u = draw(r, rounds, rows)
+        # the per-row bias and floor broadcast over the rounds
+        cand = _candidates(spec, u.reshape(rounds * rows.size, -1),
+                           (u[..., spec.n] < boundary_bias[rows]).ravel())
+        ok = cone_margins_batch(spec, cand).reshape(rounds, -1) >= floor[rows]
         hit = ok.any(axis=0)
-        first = np.argmax(ok, axis=0)[hit]
-        points[rows[hit]] = cand.reshape(rounds, rows.size, -1)[first, hit]
-        found[rows[hit]] = True
+        done = rows[hit]
+        points[done] = cand.reshape(rounds, rows.size, -1)[ok.argmax(axis=0)[hit], hit]
+        found[done] = True
         rows = rows[~hit]
         r += rounds
     return points, found
@@ -360,7 +401,7 @@ def _sample_one(spec, rng, boundary_bias=0.8, min_margin=0.0, max_tries=_MAX_TRI
     points, found = _sample_rounds(spec, lambda r, rounds, rows: rng.random((rounds, 1, width)),
                                    np.ones(1, dtype=bool), np.array([boundary_bias]),
                                    np.array([max(min_margin, spec.tol)]), max_tries)
-    return tuple(float(v) for v in points[0]) if found[0] else None
+    return tuple(points[0].tolist()) if found[0] else None
 
 
 def sample_cone(spec, count, seed, boundary_bias=0.8, min_margin=0.0):

@@ -13,9 +13,13 @@ Geometry comes from the standard radial-graph formulas: with W^2 = rho^2 +
 
 The equation Q(kappa) = psi(X, nu) is solved by damped Newton, and by
 homotopy continuation from a round start for data satisfying the barrier
-conditions.  The residual is Q = sum_j alpha_j sigma_j with
-sigma = (1, tr S, det S); the curvature pair kappa (the eigenvalues of S)
-is split off only for admissibility and output.  A node is admissible iff
+conditions.  The continuation starts each Newton solve from the secant
+prediction through the last two accepted surfaces; a prediction that is
+not positive or not admissible, or from which Newton fails, is a failed
+step and halves the parameter step.  The residual is
+Q = sum_j alpha_j sigma_j with sigma = (1, tr S, det S); the curvature
+pair kappa (the eigenvalues of S) is split off only for admissibility and
+output.  A node is admissible iff
 its cones.cone_margins_batch margin in the operator's cone (Gamma~_k for
 sum-type operators, Gamma_k otherwise) is positive.  The residual at a
 node reads only its 3x3 stencil, so Newton builds a colored sparse
@@ -24,10 +28,10 @@ that share no row; Curtis, Powell and Reid 1974) and factors it with
 SuperLU under the minimum-degree ordering on A + A^T, the fill-reducing
 ordering for a structurally symmetric pattern such as the stencil's.
 monitor_path(path) summarises the records homotopy_solve kept;
-write_solution_csv returns the residual it wrote.
+write_solution_csv returns the residual it wrote.  The CSV writers make
+each file in one pass, with the bytes csv.writer would write.
 """
 
-import csv
 import functools
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -666,12 +670,20 @@ class HomotopyPath:
 def homotopy_solve(op, psi, grid, r1, r2, steps=20, eps=1e-2, opts=None,
                    check_barrier=True, min_step=1e-4):
     """Continuation from the round solution of the eps-modified radial
-    problem to psi, warm-starting Newton at each accepted parameter value.
+    problem to psi, with Newton at each parameter value.
 
     The comparison datum is Q(1,..,1) * [(1+eps)/rho^k - eps]; its round
     solution (radius from a bracketed scalar solve) seeds t = 0, and the
-    parameter advances with adaptive bisection of the step (halving on
-    Newton failure, floor min_step; re-expanding after successes).
+    parameter advances with adaptive bisection of the step (halving on a
+    failed step, floor min_step; re-expanding after successes).  Newton
+    starts from the secant prediction through the last two accepted
+    surfaces, rho_t + (t_next - t)/(t - t_prev) (rho_t - rho_prev) (from
+    the last accepted surface while only one is known; Allgower & Georg,
+    Numerical Continuation Methods, 1990, ch. 2).  A step fails when the
+    prediction is not positive everywhere, when it is not admissible
+    (ConeExitError) or when Newton does not converge (ConvergenceError).
+    As dt shrinks the prediction tends to the last accepted surface, which
+    is admissible.
 
     psi must satisfy the annulus barrier unless check_barrier is False.
     """
@@ -689,37 +701,46 @@ def homotopy_solve(op, psi, grid, r1, r2, steps=20, eps=1e-2, opts=None,
         return float(q_eval(op, kappa)) - probe.datum(r)
 
     r0 = _bracketed_root(round_residual, 1e-3, 1e3)
-    surface = RadialSurfaceField.sphere(grid, r0)
-
-    ts, surfaces, records = [], [], []
+    surface, diag = newton_solve(RadialSurfaceField.sphere(grid, r0), op,
+                                 _BlendedPsi(psi, op, 0.0, eps), opts)
+    ts, surfaces, records = [0.0], [surface], [curvature_monitor(surface)]
     t = 0.0
     base_dt = 1.0 / steps
     dt = base_dt
-    diag = None
-    surface, diag = newton_solve(surface, op, _BlendedPsi(psi, op, 0.0, eps), opts)
-    ts.append(0.0)
-    surfaces.append(surface)
-    records.append(curvature_monitor(surface))
     while t < 1.0:
         t_next = min(1.0, t + dt)
-        try:
-            nxt, diag = newton_solve(surface, op, _BlendedPsi(psi, op, t_next, eps), opts)
-        except ConvergenceError:
+        rho = surface.rho
+        if len(ts) > 1:
+            rho = rho + (t_next - t) / (t - ts[-2]) * (rho - surfaces[-2].rho)
+        step = _continuation_step(rho, grid, op, _BlendedPsi(psi, op, t_next, eps), opts)
+        if step is None:
             dt *= 0.5
             if dt < min_step:
                 raise ContinuationError(
                     f"continuation step underflow below {min_step} at t={t:.6f}",
                     last_t=t,
                     path=HomotopyPath(ts, surfaces, records, diag),
-                ) from None
+                )
             continue
-        surface = nxt
+        surface, diag = step
         t = t_next
         ts.append(t)
         surfaces.append(surface)
         records.append(curvature_monitor(surface))
         dt = min(base_dt, dt * 2.0)
     return HomotopyPath(ts=ts, surfaces=surfaces, records=records, final_diagnostics=diag)
+
+
+def _continuation_step(rho, grid, op, psi, opts):
+    """Newton's (surface, diagnostics) from the start rho, or None when the
+    step fails: rho not positive everywhere, not admissible, or Newton not
+    converging."""
+    if not np.all(rho > 0):
+        return None
+    try:
+        return newton_solve(RadialSurfaceField(rho, grid), op, psi, opts)
+    except (ConeExitError, ConvergenceError):
+        return None
 
 
 def _bracketed_root(f, lo, hi, samples=121):
@@ -772,8 +793,13 @@ def monitor_path(path):
 # ---------------------------------------------------------------------------
 # CSV export (repr() of Python floats round-trips IEEE doubles exactly)
 
-def _fmt(x):
-    return repr(float(x))
+def _write_csv(path, header, columns):
+    """Write a CSV in one pass, byte for byte as csv.writer writes
+    str(int) and repr(float) cells: each column (an integer or float array)
+    converted once, cells joined by "," and rows ended by "\r\n"."""
+    cells = [map(str if col.dtype.kind in "iu" else repr, col.tolist()) for col in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\r\n")
 
 
 def write_solution_csv(path, surface, op, psi):
@@ -782,20 +808,12 @@ def write_solution_csv(path, surface, op, psi):
     grid = surface.grid
     res, (_, _, shape, support) = _residual_raw(surface.rho, grid, op, psi)
     kappa = _principal(shape)
-    theta, phi = grid.theta, grid.phi
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["lon_index", "lat_index", "phi", "theta", "rho",
-             "kappa1", "kappa2", "support", "residual"]
-        )
-        for j in range(grid.n_lat):
-            for i in range(grid.n_lon):
-                w.writerow(
-                    [i, j, _fmt(phi[i]), _fmt(theta[j]), _fmt(surface.rho[j, i]),
-                     _fmt(kappa[j, i, 0]), _fmt(kappa[j, i, 1]),
-                     _fmt(support[j, i]), _fmt(res[j, i])]
-                )
+    lat, lon = np.indices(grid.shape)
+    _write_csv(path, ["lon_index", "lat_index", "phi", "theta", "rho",
+                      "kappa1", "kappa2", "support", "residual"],
+               [lon.ravel(), lat.ravel(), grid.phi[lon].ravel(), grid.theta[lat].ravel(),
+                surface.rho.ravel(), kappa[..., 0].ravel(), kappa[..., 1].ravel(),
+                support.ravel(), res.ravel()])
     return res
 
 
@@ -810,8 +828,5 @@ def write_path_csv(out_dir, path, op, psi, eps):
                                  surface, op, _BlendedPsi(psi, op, t, eps))
         rows.append((t, record["max_kappa1"], record["min_support"],
                      float(np.max(np.abs(res)))))
-    with open(os.path.join(out_dir, "path.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "max_kappa1", "min_support", "residual_norm"])
-        for t, k1, u, rn in rows:
-            w.writerow([_fmt(t), _fmt(k1), _fmt(u), _fmt(rn)])
+    _write_csv(os.path.join(out_dir, "path.csv"),
+               ["t", "max_kappa1", "min_support", "residual_norm"], np.array(rows, dtype=float).T)

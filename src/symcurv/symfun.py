@@ -249,7 +249,11 @@ def _sigma_rows(cols, upto):
     contiguous rows."""
     e = np.zeros((upto + 1,) + cols.shape[1:])
     e[0] = 1.0
-    for i in range(cols.shape[0]):
+    if upto and cols.shape[0]:
+        # step 0 adds cols[0] * sigma_0 = cols[0] to sigma_1 = 0 (+ 0.0
+        # turns -0.0 into 0.0, as that addition does)
+        e[1] = cols[0] + 0.0
+    for i in range(1, cols.shape[0]):
         top = min(i + 1, upto)
         # one product-recurrence step for all j at once; the right-hand side
         # reads the previous step's values, as the descending scalar loop does

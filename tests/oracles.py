@@ -188,3 +188,30 @@ def rooted_product(linear, quadratic_c=None):
         coeffs = out
     roots = sorted(Fraction(-b, a) for a, b, m in linear for _ in range(m))
     return coeffs, roots
+
+
+def ladder_top_full(spec, p, v):
+    """The sampler's boundary ladder evaluated at all 48 points: per row of
+    p, v (m, n), the largest position j in 1..48 whose blend
+    (1 - L_j) p + L_j v, L = linspace(1/48, 1, 48), has cone margin > tol;
+    0 when none has.  Margins come from cone_margins_batch, so only the
+    search along the ladder differs from the sampler's."""
+    from symcurv.cones import cone_margins_batch
+
+    ladder = np.linspace(1.0 / 48, 1.0, 48)
+    feasible = np.stack([cone_margins_batch(spec, (1.0 - lam) * p + lam * v) > spec.tol
+                         for lam in ladder], axis=1)
+    return np.where(feasible.any(axis=1), 48 - np.argmax(feasible[:, ::-1], axis=1), 0)
+
+
+def write_csv_rows(path, header, rows):
+    """csv.writer with its defaults, one writerow per row; float cells
+    written as repr(float(x)), other cells as csv.writer converts them."""
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(float(x)) if isinstance(x, (float, np.floating)) else x
+                        for x in row])

@@ -2,8 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import in_cone_exact
+from oracles import in_cone_exact, ladder_top_full
 from symcurv import cones, symfun
 from symcurv.combop import OperatorSpec
 from symcurv.cones import ConeSpec
@@ -159,3 +160,62 @@ def test_report_str():
     assert (passed.tag, failed.tag, empty.tag) == ("PASS", "FAIL", "FAIL (inconclusive)")
     for rep in (passed, failed, empty):
         assert str(rep).startswith(rep.tag + " trials=")
+
+
+def _segments(u, neg):
+    """Segments p -> v as the sampler draws them: log-uniform magnitudes in
+    [1e-2, 1e2] from the uniforms u (m, 2, n), v negative in entry neg."""
+    mag = 10.0 ** (-2.0 + 4.0 * u)
+    n = u.shape[-1]
+    return mag[:, 0], np.where(np.arange(n) == neg[:, None], -1.0, 1.0) * mag[:, 1]
+
+
+def _ladder_feasible(spec, p, v, pos):
+    """Per row, whether ladder position pos (1..48) of p -> v is feasible."""
+    lam = np.linspace(1.0 / 48, 1.0, 48)[pos - 1][:, None]
+    return cones.cone_margins_batch(spec, (1.0 - lam) * p + lam * v) > spec.tol
+
+
+def _assert_ladder_invariant(spec, p, v, top):
+    # a feasible position (or none: then position 1 is infeasible) whose
+    # successor is infeasible or past the end
+    inner = top > 0
+    assert _ladder_feasible(spec, p[inner], v[inner], top[inner]).all()
+    short = top < 48
+    assert not _ladder_feasible(spec, p[short], v[short], top[short] + 1).any()
+
+
+@st.composite
+def _ladder_cases(draw):
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["garding", "tilde"]))
+    spec = ConeSpec(kind, n, draw(st.integers(1, n)), draw(st.floats(0.0, 5.0)))
+    rows = draw(st.integers(1, 8))
+    u = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                      min_size=2 * n * rows, max_size=2 * n * rows))
+    neg = draw(st.lists(st.integers(0, n - 1), min_size=rows, max_size=rows))
+    return (spec,) + _segments(np.reshape(u, (rows, 2, n)), np.array(neg))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_ladder_cases())
+def test_two_level_ladder_equals_full_ladder(case):
+    spec, p, v = case
+    top = cones._ladder_top(spec, p, v)
+    assert top.tolist() == ladder_top_full(spec, p, v).tolist()
+    _assert_ladder_invariant(spec, p, v, top)
+
+
+def test_two_level_ladder_on_non_monotone_rows():
+    # in Gamma_6 with n = 12 rounding makes some ladders non-monotone (an
+    # infeasible point below a feasible one); the two-level result is still
+    # a feasible position whose successor is infeasible or past the end
+    spec = ConeSpec("garding", 12, 6)
+    rng = np.random.default_rng(12)
+    m = 20_000
+    p, v = _segments(rng.random((m, 2, 12)), rng.integers(0, 12, m))
+    top = cones._ladder_top(spec, p, v)
+    _assert_ladder_invariant(spec, p, v, top)
+    feasible = np.stack([_ladder_feasible(spec, p, v, np.full(m, j)) for j in range(1, 49)], 1)
+    full = ladder_top_full(spec, p, v)
+    assert (feasible != (np.arange(1, 49) <= full[:, None])).any(axis=1).sum() > 0

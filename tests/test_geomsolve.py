@@ -4,10 +4,10 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from oracles import (barrier_monotonicity_loop, fd_jacobian_dense, in_cone_exact,
-                     kappa_residual, normalized_margin_exact)
+                     kappa_residual, normalized_margin_exact, write_csv_rows)
 from symcurv import geomsolve as gs
 from symcurv.combop import OperatorSpec, q_eval
-from symcurv.errors import ConeExitError, ConvergenceError, DomainError
+from symcurv.errors import ConeExitError, ContinuationError, ConvergenceError, DomainError
 
 OP = OperatorSpec.sum_type(2, 2, 1.0)  # sigma_2 + sigma_1 on two curvatures
 
@@ -422,6 +422,70 @@ def test_path_csv_residual_norm_is_surface_max_residual(tmp_path):
         assert again.ravel().tolist() == res
 
 
+def _newton_calls(monkeypatch, fail_at=None, error=ConeExitError):
+    """Record (t, start rho) of every newton_solve call homotopy_solve makes;
+    call number fail_at raises error instead of solving."""
+    calls = []
+    solve = gs.newton_solve
+
+    def recorded(initial, op, psi, opts=None):
+        calls.append((psi.t, initial.rho.copy()))
+        if len(calls) - 1 == fail_at:
+            raise error("injected failure")
+        return solve(initial, op, psi, opts)
+
+    monkeypatch.setattr(gs, "newton_solve", recorded)
+    return calls
+
+
+def test_homotopy_starts_newton_from_the_secant_prediction(monkeypatch):
+    calls = _newton_calls(monkeypatch)
+    _, path = _small_path()
+    assert path.ts == [0.0, 0.25, 0.5, 0.75, 1.0]
+    # call 0 solves t = 0 from the round sphere, call 1 starts from the
+    # t = 0 surface, call i >= 2 from the secant through surfaces i-2, i-1
+    assert len(calls) == 5
+    assert np.array_equal(calls[1][1], path.surfaces[0].rho)
+    for i in range(2, 5):
+        (t0, t1), (s0, s1) = path.ts[i - 2: i], path.surfaces[i - 2: i]
+        want = s1.rho + (calls[i][0] - t1) / (t1 - t0) * (s1.rho - s0.rho)
+        assert np.array_equal(calls[i][1], want)
+
+
+@pytest.mark.parametrize("error", [ConeExitError, ConvergenceError])
+def test_homotopy_halves_the_step_when_a_predicted_start_fails(monkeypatch, error):
+    # call 2 is the first from a predicted start: it fails, dt halves, and
+    # the retry predicts to the nearer t from the same two surfaces
+    calls = _newton_calls(monkeypatch, fail_at=2, error=error)
+    _, path = _small_path()
+    assert [t for t, _ in calls[:4]] == [0.0, 0.25, 0.5, 0.375]
+    assert path.ts[:3] == [0.0, 0.25, 0.375] and path.ts[-1] == 1.0
+    s0, s1 = path.surfaces[:2]
+    assert np.array_equal(calls[3][1], s1.rho + (0.375 - 0.25) / 0.25 * (s1.rho - s0.rho))
+
+
+def test_non_positive_prediction_is_a_failed_step(monkeypatch):
+    calls = _newton_calls(monkeypatch)
+    g = gs.SphereGrid(16, 8)
+    rho = np.full(g.shape, 1.0)
+    rho[2, 3] = -1e-3
+    psi = gs._BlendedPsi(gs.PsiSpec("constant", c=2.0), OP, 0.5, 1e-2)
+    assert gs._continuation_step(rho, g, OP, psi, None) is None
+    assert calls == []   # Newton is not started from it
+
+
+@pytest.mark.parametrize("steps", [2, 3, 4])
+def test_homotopy_predictor_raises_no_cone_exit(steps):
+    # long steps make long predictions; a start that leaves the cone is a
+    # failed step, never an error out of homotopy_solve
+    psi = gs.PsiSpec("anisotropic-radial", c=3.0, p=3.0, eps=0.1, axis=(0, 0, 1))
+    try:
+        path = gs.homotopy_solve(OP, psi, gs.SphereGrid(16, 8), 0.5, 2.0, steps=steps, eps=1e-2)
+    except ContinuationError:
+        return
+    assert path.ts[-1] == 1.0
+
+
 def test_homotopy_constant_sphere_path():
     # psi already matching a sphere: every accepted step stays round
     g = gs.SphereGrid(16, 8)
@@ -472,3 +536,51 @@ def test_solution_csv_roundtrip(tmp_path):
     out2 = tmp_path / "again.csv"
     gs.write_solution_csv(out2, surf, OP, psi)
     assert out.read_bytes() == out2.read_bytes()
+
+
+def _solution_rows(surface, res):
+    """The rows write_solution_csv writes, in the order it writes them."""
+    geo = gs.surface_geometry(surface)
+    g = surface.grid
+    return [[i, j, g.phi[i], g.theta[j], surface.rho[j, i], geo.kappa[j, i, 0],
+             geo.kappa[j, i, 1], geo.support[j, i], res[j, i]]
+            for j in range(g.n_lat) for i in range(g.n_lon)]
+
+
+def test_solution_csv_matches_csv_writer_oracle(tmp_path, monkeypatch):
+    g = gs.SphereGrid(16, 8)
+    surf = gs.perturbed_sphere(g, 2.0, 0.05, seed=3)
+    psi = gs.PsiSpec("constant", c=1.25)
+    # no surface gives a residual of exactly -0.0 (x - x is +0.0), so one
+    # node's residual is set to -0.0 to check that its sign reaches the file
+    raw = gs._residual_raw
+
+    def signed_zero(rho, grid, op, psi):
+        res, geo = raw(rho, grid, op, psi)
+        res[3, 5] = -0.0
+        return res, geo
+
+    monkeypatch.setattr(gs, "_residual_raw", signed_zero)
+    res = gs.write_solution_csv(tmp_path / "solution.csv", surf, OP, psi)
+    assert np.signbit(res[3, 5]) and res[3, 5] == 0.0
+    write_csv_rows(tmp_path / "oracle.csv",
+                   ["lon_index", "lat_index", "phi", "theta", "rho", "kappa1", "kappa2",
+                    "support", "residual"], _solution_rows(surf, res))
+    data = (tmp_path / "solution.csv").read_bytes()
+    assert data == (tmp_path / "oracle.csv").read_bytes()
+    assert b",-0.0\r\n" in data
+
+
+def test_path_csv_matches_csv_writer_oracle(tmp_path):
+    psi, path = _small_path()
+    gs.write_path_csv(tmp_path, path, OP, psi, 1e-2)
+    rows = []
+    for idx, (t, surf, rec) in enumerate(zip(path.ts, path.surfaces, path.records)):
+        res = gs.write_solution_csv(tmp_path / "again.csv", surf, OP,
+                                    gs._BlendedPsi(psi, OP, t, 1e-2))
+        assert (tmp_path / "again.csv").read_bytes() == \
+            (tmp_path / f"surface_{idx:04d}.csv").read_bytes()
+        rows.append([t, rec["max_kappa1"], rec["min_support"], float(np.max(np.abs(res)))])
+    write_csv_rows(tmp_path / "oracle.csv", ["t", "max_kappa1", "min_support", "residual_norm"],
+                   rows)
+    assert (tmp_path / "path.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
