@@ -19,20 +19,23 @@ not positive or not admissible, or from which Newton fails, is a failed
 step and halves the parameter step.  The residual is
 Q = sum_j alpha_j sigma_j with sigma = (1, tr S, det S); the curvature
 pair kappa (the eigenvalues of S) is split off only for admissibility and
-output.  A node is admissible iff
-its cones.cone_margins_batch margin in the operator's cone (Gamma~_k for
-sum-type operators, Gamma_k otherwise) is positive.  The residual at a
-node reads only its 3x3 stencil, so Newton builds a colored sparse
-forward-difference Jacobian (one perturbed surface per group of columns
-that share no row; Curtis, Powell and Reid 1974) and factors it with
-SuperLU under the minimum-degree ordering on A + A^T, the fill-reducing
-ordering for a structurally symmetric pattern such as the stencil's.
-monitor_path(path) summarises the records homotopy_solve kept;
-write_solution_csv returns the residual it wrote.  The CSV writers make
-each file in one pass, with the bytes csv.writer would write.
+output.  A node is admissible iff its cones.cone_margins_batch margin in
+the operator's cone (Gamma~_k for sum-type operators, Gamma_k otherwise)
+is positive.  The residual at a node is a pointwise function f of six
+local quantities q, rho and its derivatives, each a linear stencil
+operator D_q on rho; so Newton's Jacobian is exactly
+J = sum_q diag(df/dq) D_q, with the six partials from one complex-step
+evaluation of f (Squire and Trapp 1998).  A psi free of X adds a
+translation gauge (newton_solve).  SuperLU factors J under the
+minimum-degree ordering on A + A^T, the fill-reducing ordering for a
+structurally symmetric pattern such as the stencil's.  monitor_path(path)
+summarises the records homotopy_solve kept; write_solution_csv returns
+the residual it wrote.  The CSV writers make each file in one pass, with
+the bytes csv.writer would write.
 """
 
 import functools
+import os
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -48,7 +51,7 @@ from .errors import (
     DomainError,
 )
 from .combop import OperatorSpec, q_eval
-from .cones import ConeSpec, VerificationReport, cone_margins_batch
+from .cones import ConeSpec, VerificationReport, cone_margins_batch, trial_rng
 
 __all__ = [
     "SphereGrid",
@@ -66,13 +69,9 @@ __all__ = [
     "curvature_monitor",
     "monitor_path",
     "ellipsoid_radial_graph",
-    "ellipsoid_curvatures",
     "write_solution_csv",
     "write_path_csv",
 ]
-
-_EPS = float(np.finfo(float).eps)
-
 
 @dataclass(frozen=True)
 class SphereGrid:
@@ -148,8 +147,6 @@ def perturbed_sphere(grid, radius, amplitude, seed):
     keeps small perturbations inside the admissible cone at any resolution
     (nodewise white noise would not be: its discrete second differences
     grow like 1/h^2)."""
-    from .cones import trial_rng
-
     rng = trial_rng(seed, 0)
     r_hat, _, _ = grid.unit_vectors()
     x, y, z = r_hat[..., 0], r_hat[..., 1], r_hat[..., 2]
@@ -169,8 +166,9 @@ def _pole_pad(f, n_lon):
 
 
 def _derivatives(f, grid):
-    """Second-order centered d/dtheta, d/dphi and the three second derivatives
-    of a scalar grid field; broadcasts over leading axes."""
+    """The six local quantities of a scalar grid field: f itself, its
+    second-order centered d/dtheta and d/dphi, and the three second
+    derivatives (tt, pp, tp); broadcasts over leading axes."""
     dt, dp = grid.d_theta, grid.d_phi
     pad = _pole_pad(f, grid.n_lon)
     f_t = (pad[..., 2:, :] - pad[..., :-2, :]) / (2.0 * dt)
@@ -179,7 +177,7 @@ def _derivatives(f, grid):
     f_pp = (np.roll(f, -1, axis=-1) - 2.0 * f + np.roll(f, 1, axis=-1)) / dp**2
     pad_p = _pole_pad(f_p, grid.n_lon)
     f_pt = (pad_p[..., 2:, :] - pad_p[..., :-2, :]) / (2.0 * dt)
-    return f_t, f_p, f_tt, f_pp, f_pt
+    return f, f_t, f_p, f_tt, f_pp, f_pt
 
 
 @dataclass
@@ -194,15 +192,16 @@ class SurfaceGeometry:
     grid: SphereGrid
 
 
-def _geometry(rho, grid):
-    """Geometry arrays for a batch of rho fields (shape (..., n_lat, n_lon)):
-    X, nu, the shape operator (s11, s12, s22) in the orthonormal tangent
-    frame that the Cholesky factor of g gives (e_1 along d/dtheta), and the
-    support <X, nu>."""
+def _geometry(q, grid):
+    """Pointwise geometry from the six local quantities q = (rho, rho_theta,
+    rho_phi, rho_thetatheta, rho_phiphi, rho_thetaphi) (each of shape
+    (..., n_lat, n_lon), real or complex): X, nu, the shape operator
+    (s11, s12, s22) in the orthonormal tangent frame that the Cholesky factor
+    of g gives (e_1 along d/dtheta), and the support <X, nu>."""
+    rho, r_t, r_p, r_tt, r_pp, r_pt = q
     th = grid.theta[:, None]
     st, ct = np.sin(th), np.cos(th)
     cot = ct / st
-    r_t, r_p, r_tt, r_pp, r_pt = _derivatives(rho, grid)
 
     grad2 = r_t**2 + (r_p / st) ** 2
     w2 = rho**2 + grad2
@@ -248,7 +247,7 @@ def _principal(shape):
 
 def surface_geometry(surface):
     """Full geometry of one surface; curvatures sorted descending per node."""
-    X, nu, shape, support = _geometry(surface.rho, surface.grid)
+    X, nu, shape, support = _geometry(_derivatives(surface.rho, surface.grid), surface.grid)
     return SurfaceGeometry(X=X, nu=nu, kappa=_principal(shape), support=support,
                            rho=surface.rho, grid=surface.grid)
 
@@ -271,13 +270,18 @@ def _q_invariants(op, tr, det):
     return a0 + a1 * tr + a2 * det
 
 
-def _residual_raw(rho, grid, op, psi):
-    """Q - psi per node, Q from tr and det of the shape operator, and the
-    geometry (X, nu, shape operator, support) it was computed from (no
-    admissibility test, no raising)."""
-    geo = _geometry(rho, grid)
+def _pointwise_residual(q, grid, op, psi):
+    """Q - psi per node from the six local quantities q, Q from tr and det
+    of the shape operator, and the geometry (X, nu, shape operator, support)
+    it was computed from (no admissibility test, no raising)."""
+    geo = _geometry(q, grid)
     X, nu, (s11, s12, s22), _ = geo
     return _q_invariants(op, s11 + s22, s11 * s22 - s12**2) - psi.evaluate(X, nu), geo
+
+
+def _residual_raw(rho, grid, op, psi):
+    """_pointwise_residual of the surface rho."""
+    return _pointwise_residual(_derivatives(rho, grid), grid, op, psi)
 
 
 def residual(surface, op, psi):
@@ -337,17 +341,16 @@ class PsiSpec:
                 raise DomainError("axes must be positive")
 
     def evaluate(self, X, nu):
-        """Vectorized over leading axes of X, nu (last axis = 3)."""
-        X = np.asarray(X, float)
+        """Vectorized over leading axes of X, nu (last axis = 3); real or
+        complex (the Jacobian's complex step)."""
         if self.family == "manufactured-ellipsoid":
             return _q_invariants(self.op, *_ellipsoid_invariants(X, self.axes))
         if self.family == "constant":
             return np.full(X.shape[:-1], self.c)
-        r = np.linalg.norm(X, axis=-1)
+        r = np.sqrt((X * X).sum(-1))
         if self.family == "radial-power":
             return self.c / r**self.p
-        e = np.asarray(self.axis)
-        return self.c / r**self.p * (1.0 + self.eps * (np.asarray(nu, float) @ e))
+        return self.c / r**self.p * (1.0 + self.eps * (nu @ np.asarray(self.axis)))
 
 
 def ellipsoid_radial_graph(directions, axes):
@@ -371,34 +374,6 @@ def _ellipsoid_invariants(X, axes):
     return (h.sum() - C / B) * np.sqrt(A / (2.0 * B)), h.prod() * A**2 / (2.0 * B**2)
 
 
-def ellipsoid_curvatures(points, axes):
-    """Principal curvatures (descending) of the ellipsoid at on-surface points.
-
-    Closed-form via the implicit surface F = sum (x_i/a_i)^2 - 1: the shape
-    operator is the tangential restriction of Hess F / |grad F|.
-    """
-    p = np.asarray(points, float)
-    a2 = np.asarray(axes, float) ** 2
-    grad = 2.0 * p / a2
-    gn = np.linalg.norm(grad, axis=-1)
-    m = grad / gn[..., None]
-    # tangent frame: cross with whichever coordinate axis is far from m
-    helper = np.zeros_like(m)
-    use_z = np.abs(m[..., 2]) < 0.9
-    helper[..., 2] = np.where(use_z, 1.0, 0.0)
-    helper[..., 0] = np.where(use_z, 0.0, 1.0)
-    t1 = np.cross(helper, m)
-    t1 /= np.linalg.norm(t1, axis=-1, keepdims=True)
-    t2 = np.cross(m, t1)
-    # S_ij = t_i . (Hess F) t_j / |grad F|, Hess F = diag(2/a_i^2)
-    h11 = (2.0 * t1 * t1 / a2).sum(axis=-1) / gn
-    h12 = (2.0 * t1 * t2 / a2).sum(axis=-1) / gn
-    h22 = (2.0 * t2 * t2 / a2).sum(axis=-1) / gn
-    tr = h11 + h22
-    disc = np.sqrt(np.maximum((h11 - h22) ** 2 + 4.0 * h12**2, 0.0))
-    return np.stack([(tr + disc) / 2.0, (tr - disc) / 2.0], axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # Newton solver
 
@@ -414,8 +389,9 @@ class NewtonDiagnostics:
     iterations: list = field(default_factory=list)  # (residual_inf, step, halvings)
     converged: bool = False
     tol: float = None
+    mu: tuple = ()   # translation-gauge multipliers of the last iterate (empty: no gauge)
     # one entry per Newton step (attempted steps included):
-    residual_evals: list = field(default_factory=list)  # color groups + line-search candidates
+    residual_evals: list = field(default_factory=list)  # 6 complex-step surfaces + candidates
     jacobian_s: list = field(default_factory=list)      # Jacobian assembly
     linsolve_s: list = field(default_factory=list)      # sparse LU factor and solve
     line_search_s: list = field(default_factory=list)   # backtracking line search
@@ -425,71 +401,101 @@ class NewtonDiagnostics:
         return len(self.iterations)
 
 
+_CS_STEP = 1e-30   # complex step: f'(x) = Im f(x + ih) / h, exact to rounding
+
+
 @dataclass(frozen=True)
 class _JacobianPattern:
-    """CSC structure of the residual Jacobian and a column coloring in which
-    no two columns of one color share a row."""
+    """CSC structure of the Newton matrix [[J, U], [C', 0]] (U, C empty
+    without the gauge) and the stencil weights that assemble J."""
 
     indices: np.ndarray   # row of each structural nonzero, column-major
     indptr: np.ndarray
-    cols: np.ndarray      # column of each structural nonzero
-    colors: np.ndarray    # color of each column
-    n_colors: int
+    stencil: np.ndarray   # positions of J's nonzeros in indices
+    rows: np.ndarray      # their rows
+    weights: np.ndarray   # (6, len(stencil)): their entries of D_q
+    data: np.ndarray      # the matrix values with the border in place, J's zero
+    U: np.ndarray         # (n, 3 or 0) components of r_hat
+    C: np.ndarray         # (n, 3 or 0) the same weighted by sin theta / sum sin theta
 
 
 @functools.lru_cache(maxsize=None)
-def _jacobian_pattern(grid):
+def _jacobian_pattern(grid, gauge=False):
     """Pattern from the stencil: node (j, i) reads (j+dj, i+di) for dj, di in
     {-1, 0, 1}, longitude wrapping round; across a pole the ghost row is the
-    edge row shifted by n_lon/2 (as in _pole_pad).  Columns are colored
-    greedily in index order."""
+    edge row shifted by n_lon/2 (as in _pole_pad).  Each of the six local
+    quantities q is a linear stencil operator D_q of rho (_derivatives); its
+    weight per offset comes from the 3x3 table below, summed where offsets
+    meet the same node.  With the gauge, 3 rows and columns border J."""
     n_lat, n_lon = grid.shape
+    n = n_lat * n_lon
     j, i = np.indices(grid.shape).reshape(2, -1, 1)
     dj, di = np.indices((3, 3)).reshape(2, 1, -1) - 1
     nj, ni = j + dj, i + di
     across = (nj < 0) | (nj >= n_lat)
     nj = np.clip(nj, 0, n_lat - 1)
     ni = (ni + across * (n_lon // 2)) % n_lon
-    rows = np.broadcast_to(j * n_lon + i, nj.shape)
-    n = n_lat * n_lon
-    pattern = scipy.sparse.csc_matrix(
-        (np.ones(rows.size), (rows.ravel(), (nj * n_lon + ni).ravel())), shape=(n, n))
-    pattern.sum_duplicates()
-    pattern.sort_indices()
-    shared = (pattern.T @ pattern).tocsr()   # columns sharing at least one row
-    colors = np.full(n, -1)
-    for c in range(n):
-        used = set(colors[shared.indices[shared.indptr[c]:shared.indptr[c + 1]]].tolist())
-        colors[c] = next(k for k in range(n) if k not in used)
-    cols = np.repeat(np.arange(n), np.diff(pattern.indptr))
-    return _JacobianPattern(pattern.indices, pattern.indptr, cols, colors,
-                            int(colors.max()) + 1)
+    rows = np.broadcast_to(j * n_lon + i, nj.shape).ravel()
+    cols = (nj * n_lon + ni).ravel()
+    dt, dp = grid.d_theta, grid.d_phi
+    table = np.stack([(dj == 0) & (di == 0), dj * (di == 0) / (2 * dt), di * (dj == 0) / (2 * dp),
+                      (3 * dj**2 - 2) * (di == 0) / dt**2, (3 * di**2 - 2) * (dj == 0) / dp**2,
+                      dj * di / (4 * dt * dp)]).reshape(6, 9)
+    values = np.vstack([np.tile(table, n), np.zeros(rows.size)])   # 6 weights, 1 border
+    U = C = np.zeros((n, 0))
+    if gauge:
+        U = grid.unit_vectors()[0].reshape(n, 3)
+        st = np.repeat(np.sin(grid.theta), n_lon)[:, None]
+        C = U * st / st.sum()
+        node, k = np.indices((n, 3)).reshape(2, -1)
+        rows = np.concatenate([rows, node, n + k])
+        cols = np.concatenate([cols, n + k, node])
+        values = np.hstack([values, np.vstack([np.zeros((6, 6 * n)), np.append(U, C)])])
+    size = n + U.shape[1]
+    keys, at = np.unique(cols * size + rows, return_inverse=True)
+    summed = np.stack([np.bincount(at, weights=v, minlength=keys.size) for v in values])
+    indices, col = keys % size, keys // size
+    stencil = np.flatnonzero((indices < n) & (col < n))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=size))])
+    return _JacobianPattern(indices, indptr, stencil, indices[stencil], summed[:6, stencil],
+                            summed[6], U, C)
 
 
-def _jacobian_fd(rho, grid, op, psi, base):
-    """Sparse forward-difference Jacobian of the residual in the rho unknowns:
-    one perturbed surface per color group, all in one residual call."""
-    pat = _jacobian_pattern(grid)
-    n = rho.size
-    flat = rho.ravel()
-    deltas = np.sqrt(_EPS) * (1.0 + np.abs(flat))
-    batch = np.repeat(flat[None, :], pat.n_colors, axis=0)
-    batch[pat.colors, np.arange(n)] += deltas
-    res = _residual_raw(batch.reshape(pat.n_colors, *grid.shape), grid, op, psi)[0]
-    res = res.reshape(pat.n_colors, n)   # [0]: the batch's geometry is freed at once
-    values = (res[pat.colors[pat.cols], pat.indices] - base.ravel()[pat.indices]) \
-        / deltas[pat.cols]
-    return scipy.sparse.csc_matrix((values, pat.indices, pat.indptr), shape=(n, n))
+def _jacobian(rho, grid, op, psi, pat):
+    """The exact Jacobian J = sum_q diag(df/dq) D_q of the discrete residual
+    in pattern pat: the residual at a node is a pointwise function f of its
+    six local quantities q, whose partials come from one complex-step
+    evaluation of f on 6 surfaces."""
+    q = np.stack(_derivatives(rho, grid))[:, None]
+    batch = q + 1j * _CS_STEP * np.eye(6)[:, :, None, None]   # q_b steps on surface b
+    res = _pointwise_residual(batch, grid, op, psi)[0]
+    partial = res.imag.reshape(6, -1) / _CS_STEP
+    data = pat.data.copy()
+    data[pat.stencil] = np.einsum("qk,qk->k", partial[:, pat.rows], pat.weights)
+    size = pat.indptr.size - 1
+    return scipy.sparse.csc_matrix((data, pat.indices, pat.indptr), shape=(size, size))
+
+
+def _position_free(psi):
+    """psi does not depend on X: 'constant', or 'radial-power' or
+    'anisotropic-radial' with p = 0."""
+    return isinstance(psi, PsiSpec) and (psi.family == "constant" or (
+        psi.family != "manufactured-ellipsoid" and psi.p == 0))
 
 
 def newton_solve(initial, op, psi, opts=None):
     """Damped Newton for Q(kappa) = psi on the grid of the initial surface.
 
-    Backtracking halves the step until the sup-norm of the residual
-    decreases and the iterate stays admissible (positive rho, curvatures in
-    the cone).  Raises ConvergenceError when no acceptable step exists or
-    the iteration budget is exhausted; the exception carries the last
-    iterate and diagnostics.
+    When psi does not depend on X, the three translations are a near-kernel
+    of the Jacobian.  Newton then solves the bordered system
+    F(rho) + U mu = 0, C'rho = 0 (U: the components of r_hat; C: the same
+    weighted by sin theta, normalized; a phase condition, Allgower & Georg,
+    Numerical Continuation Methods, 1990), and converges only with
+    |mu| <= tol.  Backtracking halves the step until the sup-norm of the
+    (bordered) residual decreases and the iterate stays admissible
+    (positive rho, curvatures in the cone).  Raises ConvergenceError when
+    no acceptable step exists or the iteration budget is exhausted; the
+    exception carries the last iterate and diagnostics.
 
     Returns (surface, NewtonDiagnostics).
     """
@@ -497,26 +503,35 @@ def newton_solve(initial, op, psi, opts=None):
         raise DomainError("surface solving is fixed to n=2 (two principal curvatures)")
     opts = opts or SolveOptions()
     grid = initial.grid
+    pat = _jacobian_pattern(grid, _position_free(psi))
     rho = initial.rho.copy()
+    mu = np.zeros(pat.U.shape[1])
     res, (X, nu, shape, _) = _residual_raw(rho, grid, op, psi)
     bad = _inadmissible_nodes(op, _principal(shape))
     if bad:
         raise ConeExitError("initial surface is not admissible", nodes=bad)
     psi_scale = float(np.max(np.abs(psi.evaluate(X, nu))))
     tol = opts.tol if opts.tol is not None else 1e-10 * psi_scale
-    diag = NewtonDiagnostics(tol=tol)
+    diag = NewtonDiagnostics(tol=tol, mu=tuple(mu))
 
-    norm = float(np.max(np.abs(res)))
+    def bordered(rho, res, mu):
+        return np.concatenate([res.ravel() + pat.U @ mu, rho.ravel() @ pat.C])
+
+    full = bordered(rho, res, mu)
+    norm = float(np.max(np.abs(full)))
     for _ in range(opts.max_iter):
         diag.iterations.append((norm, 0.0, 0))
-        if norm <= tol:
+        if norm <= tol and np.all(np.abs(mu) <= tol):
             diag.converged = True
             return RadialSurfaceField(rho, grid), diag
+        if norm <= tol:   # F = -U mu: psi is obstructed, no solution up to translation
+            raise ConvergenceError(f"gauge multiplier |mu| = {np.max(np.abs(mu)):.3e} > tol",
+                                   last_surface=RadialSurfaceField(rho, grid), diagnostics=diag)
         t0 = perf_counter()
-        jac = _jacobian_fd(rho, grid, op, psi, res)
+        jac = _jacobian(rho, grid, op, psi, pat)
         t1 = perf_counter()
         diag.jacobian_s.append(t1 - t0)
-        diag.residual_evals.append(_jacobian_pattern(grid).n_colors)
+        diag.residual_evals.append(6)
         try:
             lu = scipy.sparse.linalg.splu(jac, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
@@ -525,7 +540,8 @@ def newton_solve(initial, op, psi, opts=None):
             raise ConvergenceError(f"singular Jacobian: {exc}",
                                    last_surface=RadialSurfaceField(rho, grid),
                                    diagnostics=diag) from None
-        step = lu.solve(-res.ravel()).reshape(grid.shape)
+        step = lu.solve(-full)
+        step, step_mu = step[:rho.size].reshape(grid.shape), step[rho.size:]
         t2 = perf_counter()
         diag.linsolve_s.append(t2 - t1)
         scale = 1.0
@@ -535,11 +551,14 @@ def newton_solve(initial, op, psi, opts=None):
             if np.all(cand > 0):
                 diag.residual_evals[-1] += 1
                 cand_res, (_, _, cand_shape, _) = _residual_raw(cand, grid, op, psi)
-                cand_norm = float(np.max(np.abs(cand_res)))
+                cand_mu = mu + scale * step_mu
+                cand_full = bordered(cand, cand_res, cand_mu)
+                cand_norm = float(np.max(np.abs(cand_full)))
                 if (np.isfinite(cand_norm) and cand_norm < norm
                         and not _inadmissible_nodes(op, _principal(cand_shape))):
-                    rho, res, norm = cand, cand_res, cand_norm
+                    rho, mu, full, norm = cand, cand_mu, cand_full, cand_norm
                     diag.iterations[-1] = (norm, scale, halving)
+                    diag.mu = tuple(mu.tolist())
                     accepted = True
                     break
             scale *= 0.5
@@ -647,10 +666,8 @@ class _BlendedPsi:
         return self.q_round * ((1.0 + self.eps) / r**k - self.eps)
 
     def evaluate(self, X, nu):
-        X = np.asarray(X, float)
-        r = np.linalg.norm(X, axis=-1)
-        d = self.datum(r)
-        if np.any(d <= 0):
+        d = self.datum(np.sqrt((X * X).sum(-1)))
+        if np.any(d.real <= 0):
             raise DomainError("comparison datum not positive on this surface")
         k = self.op.k
         if self.t == 0.0:
@@ -819,8 +836,6 @@ def write_solution_csv(path, surface, op, psi):
 
 def write_path_csv(out_dir, path, op, psi, eps):
     """Per-step solution CSVs plus path.csv of t,max_kappa1,min_support,residual_norm."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for idx, (t, surface, record) in enumerate(zip(path.ts, path.surfaces, path.records)):

@@ -92,12 +92,53 @@ def fd_jacobian_dense(f, x, steps):
     return out
 
 
+def cs_jacobian_dense(f, x, h=1e-30):
+    """Dense complex-step Jacobian of a vector function that accepts complex
+    input: column j is Im f(x + i h e_j) / h, one call of f per column."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((np.asarray(f(x)).size, x.size))
+    for j in range(x.size):
+        z = x.astype(complex)
+        z[j] += 1j * h
+        out[:, j] = np.asarray(f(z)).imag / h
+    return out
+
+
+def ellipsoid_curvatures(points, axes):
+    """Principal curvatures (descending) of the ellipsoid at on-surface points.
+
+    Closed-form via the implicit surface F = sum (x_i/a_i)^2 - 1: the shape
+    operator is the tangential restriction of Hess F / |grad F|, in a
+    tangent frame built by cross products.
+    """
+    p = np.asarray(points, float)
+    a2 = np.asarray(axes, float) ** 2
+    grad = 2.0 * p / a2
+    gn = np.linalg.norm(grad, axis=-1)
+    m = grad / gn[..., None]
+    # tangent frame: cross with whichever coordinate axis is far from m
+    helper = np.zeros_like(m)
+    use_z = np.abs(m[..., 2]) < 0.9
+    helper[..., 2] = np.where(use_z, 1.0, 0.0)
+    helper[..., 0] = np.where(use_z, 0.0, 1.0)
+    t1 = np.cross(helper, m)
+    t1 /= np.linalg.norm(t1, axis=-1, keepdims=True)
+    t2 = np.cross(m, t1)
+    # S_ij = t_i . (Hess F) t_j / |grad F|, Hess F = diag(2/a_i^2)
+    h11 = (2.0 * t1 * t1 / a2).sum(axis=-1) / gn
+    h12 = (2.0 * t1 * t2 / a2).sum(axis=-1) / gn
+    h22 = (2.0 * t2 * t2 / a2).sum(axis=-1) / gn
+    tr = h11 + h22
+    disc = np.sqrt(np.maximum((h11 - h22) ** 2 + 4.0 * h12**2, 0.0))
+    return np.stack([(tr + disc) / 2.0, (tr - disc) / 2.0], axis=-1)
+
+
 def kappa_residual(op, shape, X, nu, psi):
     """Q(kappa) - psi per node, with kappa the eigenvalue pair of the
     symmetric shape operator [[s11, s12], [s12, s22]] (numpy's eigvalsh) and
     Q through sigma_all_batch on it.  A manufactured-ellipsoid psi is Q of
     ellipsoid_curvatures at the radial projection of X onto the ellipsoid."""
-    from symcurv.geomsolve import ellipsoid_curvatures, ellipsoid_radial_graph
+    from symcurv.geomsolve import ellipsoid_radial_graph
     from symcurv.symfun import sigma_all_batch
 
     def q(kappa):

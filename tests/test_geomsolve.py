@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import (barrier_monotonicity_loop, fd_jacobian_dense, in_cone_exact,
-                     kappa_residual, normalized_margin_exact, write_csv_rows)
+from oracles import (barrier_monotonicity_loop, cs_jacobian_dense, ellipsoid_curvatures,
+                     fd_jacobian_dense, in_cone_exact, kappa_residual,
+                     normalized_margin_exact, write_csv_rows)
 from symcurv import geomsolve as gs
 from symcurv.combop import OperatorSpec, q_eval
 from symcurv.errors import ConeExitError, ContinuationError, ConvergenceError, DomainError
@@ -43,7 +45,7 @@ def test_sphere_geometry_exact():
 def test_ellipsoid_curvature_oracle_against_sphere():
     # the closed-form ellipsoid curvature formula reduces to 1/r on spheres
     pts = np.array([[2.0, 0, 0], [0, 2.0, 0], [0, 0, 2.0], [2 / np.sqrt(2), 2 / np.sqrt(2), 0]])
-    kappa = gs.ellipsoid_curvatures(pts, (2.0, 2.0, 2.0))
+    kappa = ellipsoid_curvatures(pts, (2.0, 2.0, 2.0))
     assert np.allclose(kappa, 0.5)
 
 
@@ -66,7 +68,7 @@ def test_ellipsoid_invariants_match_curvature_pair(axes):
     for d in (gs.SphereGrid(64, 32).unit_vectors()[0].reshape(-1, 3),
               rand / np.linalg.norm(rand, axis=-1, keepdims=True)):
         point = gs.ellipsoid_radial_graph(d, axes)[:, None] * d
-        kappa = gs.ellipsoid_curvatures(point, axes)
+        kappa = ellipsoid_curvatures(point, axes)
         for X in (point, d, 2.5 * d):
             tr, det = gs._ellipsoid_invariants(X, axes)
             assert np.all(np.abs(tr - kappa.sum(-1)) <= 1e-14 * np.abs(kappa.sum(-1)))
@@ -81,7 +83,7 @@ def test_ellipsoid_geometry_second_order():
         r_hat, _, _ = g.unit_vectors()
         surf = gs.RadialSurfaceField(gs.ellipsoid_radial_graph(r_hat, axes), g)
         geo = gs.surface_geometry(surf)
-        exact = gs.ellipsoid_curvatures(geo.X, axes)
+        exact = ellipsoid_curvatures(geo.X, axes)
         errs.append(np.abs(geo.kappa - exact).max())
     assert errs[0] / errs[1] > 2.5
     assert errs[1] / errs[2] > 2.5
@@ -166,6 +168,45 @@ def test_newton_sphere_fixed_point():
     assert diag.n_iter - 1 <= 12
 
 
+def test_translation_gauge_converges_from_every_seed():
+    # constant psi: the three translations are a near-kernel of J; the
+    # bordered system pins them and every perturbed start converges
+    g = gs.SphereGrid(32, 16)
+    psi = gs.PsiSpec("constant", c=1.25)   # Q(1/2, 1/2) = 5/4
+    for seed in range(800, 900):
+        surf, diag = gs.newton_solve(gs.perturbed_sphere(g, 2.0, 0.05, seed=seed), OP, psi)
+        assert diag.converged, seed
+        assert np.abs(surf.rho - 2.0).max() <= 1e-8, seed
+        assert diag.n_iter - 1 <= 6, seed
+        assert len(diag.mu) == 3 and max(map(abs, diag.mu)) <= diag.tol, seed
+
+
+def test_gauge_multiplier_reports_an_obstructed_psi():
+    # psi = c (1 + eps <nu, e>) is free of X but admits no closed solution;
+    # the bordered system is solved by the round sphere with mu = c eps e
+    g = gs.SphereGrid(16, 8)
+    psi = gs.PsiSpec("anisotropic-radial", c=1.25, p=0.0, eps=0.1, axis=(0, 0, 1))
+    with pytest.raises(ConvergenceError, match="gauge multiplier") as err:
+        gs.newton_solve(gs.perturbed_sphere(g, 2.0, 0.03, seed=1), OP, psi)
+    assert not err.value.diagnostics.converged
+    assert np.allclose(err.value.diagnostics.mu, (0.0, 0.0, 0.125), rtol=0, atol=1e-9)
+    assert np.abs(err.value.last_surface.rho - 2.0).max() <= 1e-8
+
+
+def test_manufactured_ellipsoid_second_order_on_three_levels():
+    axes = (1.0, 1.0, 1.2)
+    psi = gs.PsiSpec("manufactured-ellipsoid", axes=axes, op=OP)
+    errs = []
+    for shape in [(32, 16), (64, 32), (128, 64)]:
+        grid = gs.SphereGrid(*shape)
+        surf, diag = gs.newton_solve(gs.RadialSurfaceField.sphere(grid, 1.05), OP, psi)
+        assert diag.converged and diag.mu == ()
+        exact = gs.ellipsoid_radial_graph(grid.unit_vectors()[0], axes)
+        errs.append(np.abs(surf.rho - exact).max())
+    assert errs[0] / errs[1] >= 3.0
+    assert errs[1] / errs[2] >= 3.0
+
+
 def _jacobian_cases(grid):
     aniso = gs.PsiSpec("anisotropic-radial", c=3.0, p=3.0, eps=0.1, axis=(0, 0, 1))
     return [
@@ -190,42 +231,81 @@ def test_invariant_residual_agrees_with_kappa_oracle(shape):
 
 
 @pytest.mark.parametrize("shape", [(4, 2), (10, 5), (16, 8), (32, 16)])
-def test_colored_jacobian_equals_dense_oracle(shape):
-    # each residual row reads only its stencil, so grouping columns changes
-    # no bit of the forward differences
+def test_jacobian_equals_dense_oracles(shape):
+    # the chain-rule Jacobian against a column-by-column complex step (exact
+    # to rounding) and a forward difference (accurate to about sqrt(eps))
     grid = gs.SphereGrid(*shape)
     for surf, psi in _jacobian_cases(grid):
         def f(x):
             return gs._residual_raw(x.reshape(grid.shape), grid, OP, psi)[0].ravel()
 
-        base = f(surf.rho.ravel())
+        jac = gs._jacobian(surf.rho, grid, OP, psi, gs._jacobian_pattern(grid))
+        assert scipy.sparse.issparse(jac)
+        jac = jac.toarray()
+        scale = np.abs(jac).max()
+        assert np.abs(jac - cs_jacobian_dense(f, surf.rho.ravel())).max() <= 1e-13 * scale, psi
         steps = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(surf.rho.ravel()))
-        dense = fd_jacobian_dense(f, surf.rho.ravel(), steps)
-        colored = gs._jacobian_fd(surf.rho, grid, OP, psi, base.reshape(grid.shape))
-        assert scipy.sparse.issparse(colored)
-        assert np.array_equal(colored.toarray(), dense), psi
+        fd = fd_jacobian_dense(f, surf.rho.ravel(), steps)
+        assert np.abs(jac - fd).max() <= 1e-5 * scale, psi
 
 
-@pytest.mark.parametrize("shape", [(4, 2), (10, 5), (16, 8)])
-def test_jacobian_coloring_is_valid(shape):
-    # (4, 2): the stencil wraps onto itself; (10, 5): n_lon not a multiple of 3
+@pytest.mark.parametrize("shape", [(4, 2), (10, 5), (16, 8), (32, 16)])
+def test_stencil_weights_reproduce_derivatives(shape):
+    # (4, 2): the stencil wraps onto itself, so offsets meet at one node;
+    # (10, 5): n_lon not a multiple of 3
     grid = gs.SphereGrid(*shape)
-    pat = gs._jacobian_pattern(grid)
     n = grid.n_lat * grid.n_lon
-    rows_of = [set(pat.indices[pat.indptr[c]:pat.indptr[c + 1]]) for c in range(n)]
-    assert all(rows_of[c] for c in range(n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            if pat.colors[a] == pat.colors[b]:
-                assert not rows_of[a] & rows_of[b], (a, b)
-    assert pat.n_colors == len(set(pat.colors.tolist()))
+    pat = gs._jacobian_pattern(grid)
+    rho = gs.perturbed_sphere(grid, 1.0, 0.3, seed=5).rho
+    for w, want in zip(pat.weights, gs._derivatives(rho, grid)):
+        d = scipy.sparse.csc_matrix((w, pat.indices, pat.indptr), shape=(n, n))
+        bound = 8 * np.finfo(float).eps * (abs(d) @ rho.ravel())
+        assert np.all(np.abs(d @ rho.ravel() - want.ravel()) <= bound)
+    # the gauge borders the same J with U = r_hat and C = r_hat sin(theta) / sum sin(theta)
+    psi = gs.PsiSpec("constant", c=1.25)
+    jac = gs._jacobian(rho, grid, OP, psi, pat).toarray()
+    bordered = gs._jacobian(rho, grid, OP, psi, gs._jacobian_pattern(grid, True)).toarray()
+    assert np.array_equal(bordered[:n, :n], jac)
+    r_hat = grid.unit_vectors()[0].reshape(n, 3)
+    sin = np.repeat(np.sin(grid.theta), grid.n_lon)[:, None]
+    assert np.array_equal(bordered[:n, n:], r_hat)
+    assert np.allclose(bordered[n:, :n].T, r_hat * sin / sin.sum(), rtol=1e-15, atol=0)
+    assert not bordered[n:, n:].any()
+
+
+_PSI_FAMILIES = [
+    gs.PsiSpec("constant", c=1.25),
+    gs.PsiSpec("radial-power", c=2.0, p=3.0),
+    gs.PsiSpec("anisotropic-radial", c=3.0, p=2.5, eps=0.3, axis=(1.0, -2.0, 0.5)),
+    gs.PsiSpec("manufactured-ellipsoid", axes=(1.0, 2.0, 1.2), op=OP),
+    gs._BlendedPsi(gs.PsiSpec("anisotropic-radial", c=3.0, p=3.0, eps=0.1), OP, 0.4, 1e-2),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(0, len(_PSI_FAMILIES) - 1),
+       data=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+       radius=st.floats(0.5, 2.0))
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+def test_psi_complex_step_matches_central_difference(which, data, radius):
+    psi = _PSI_FAMILIES[which]
+    x, n, dx, dn = np.array(data).reshape(4, 3) + np.array([[0.1, 0.2, 0.3]] + [[0.0] * 3] * 3)
+    assume(np.linalg.norm(x) > 0.1)
+    X = radius * x / np.linalg.norm(x)
+    nu = np.array([n[0], n[1], 1.0]) / np.linalg.norm([n[0], n[1], 1.0])
+    cs = psi.evaluate(X + 1e-30j * dx, nu + 1e-30j * dn).imag / 1e-30
+    h = 1e-5
+    cd = (psi.evaluate(X + h * dx, nu + h * dn) - psi.evaluate(X - h * dx, nu - h * dn)) / (2 * h)
+    scale = abs(psi.evaluate(X, nu)) * (1.0 + np.abs(dx).sum() + np.abs(dn).sum())
+    assert abs(cs - cd) <= 1e-7 * scale
 
 
 def test_newton_singular_jacobian_raises(monkeypatch):
     g = gs.SphereGrid(16, 8)
     n = g.n_lat * g.n_lon
-    monkeypatch.setattr(gs, "_jacobian_fd",
-                        lambda *args: scipy.sparse.csc_matrix((n, n)))
+    # constant psi: the matrix is J bordered by the 3 gauge rows and columns
+    monkeypatch.setattr(gs, "_jacobian",
+                        lambda *args: scipy.sparse.csc_matrix((n + 3, n + 3)))
     initial = gs.perturbed_sphere(g, 2.0, 0.05, seed=7)
     with pytest.raises(ConvergenceError, match="singular Jacobian") as err:
         gs.newton_solve(initial, OP, gs.PsiSpec("constant", c=1.25))
@@ -271,27 +351,27 @@ def test_newton_step_solves_the_linear_system_at_128x64(monkeypatch):
 def test_newton_telemetry_adds_up(monkeypatch):
     g = gs.SphereGrid(16, 8)
     surfaces = []
-    raw = gs._residual_raw
+    raw = gs._pointwise_residual
 
-    def counting(rho, grid, op, psi):
-        surfaces.append(rho.size // (grid.n_lat * grid.n_lon))
-        return raw(rho, grid, op, psi)
+    def counting(q, grid, op, psi):
+        surfaces.append(q[0].size // (grid.n_lat * grid.n_lon))
+        return raw(q, grid, op, psi)
 
-    monkeypatch.setattr(gs, "_residual_raw", counting)
+    monkeypatch.setattr(gs, "_pointwise_residual", counting)
     initial = gs.perturbed_sphere(g, 2.0, 0.05, seed=7)
     _, diag = gs.newton_solve(initial, OP, gs.PsiSpec("constant", c=1.25))
     steps = diag.n_iter - 1
-    groups = gs._jacobian_pattern(g).n_colors
     assert steps > 0
     for log in (diag.residual_evals, diag.jacobian_s, diag.linsolve_s, diag.line_search_s):
         assert len(log) == steps
         assert all(x >= 0 for x in log)
-    # the initial residual, then per step one call for the color groups and
-    # one per line-search candidate (every candidate here stays positive)
+    # the initial residual, then per step one call on the Jacobian's 6
+    # complex-step surfaces and one per line-search candidate (every
+    # candidate here stays positive)
     want = [1]
     for evals, (_, _, halvings) in zip(diag.residual_evals, diag.iterations):
-        assert evals == groups + halvings + 1
-        want += [groups] + [1] * (halvings + 1)
+        assert evals == 6 + halvings + 1
+        want += [6] + [1] * (halvings + 1)
     assert surfaces == want
 
 
