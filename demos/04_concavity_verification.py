@@ -2,8 +2,8 @@
 quotient inequality on diagonal curvature data.
 
 The scans combine a midpoint test (2f(x) >= f(x+eps*xi) + f(x-eps*xi),
-exact for concave f at any admissible probe) with finite-difference Hessian
-eigenvalues at interior points.
+exact for concave f at any admissible probe) with the largest eigenvalue of
+the exact Hessian (from second-order Taylor jets) at interior points.
 """
 
 from fractions import Fraction as F

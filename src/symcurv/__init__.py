@@ -8,7 +8,7 @@ symfun     calculus of elementary symmetric polynomials
 combop     linear-combination operators, profiles, derived lower operators
 cones      Garding / admissible cone membership, sampling, convexity checks
 hypcheck   exact hyperbolicity decision and witness recovery
-concave    midpoint / finite-difference concavity verification
+concave    midpoint / exact-Hessian concavity verification
 geomsolve  radial-graph geometry, Newton and homotopy solvers
 cli        batch front end (config file in, reports + CSV out)
 """

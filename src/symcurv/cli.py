@@ -10,7 +10,6 @@ comma-separated numeric lists, '#' comments; unknown keys are rejected.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -186,11 +185,11 @@ def _echo(cfg):
 
 def _write_report_csv(out_dir, rows):
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["property", "trials", "worst_value", "passed"])
-        for prop, trials, worst, passed in rows:
-            w.writerow([prop, trials, repr(float(worst)), str(bool(passed)).lower()])
+    props, trials, worst, passed = zip(*rows)
+    geomsolve._write_csv(os.path.join(out_dir, "report.csv"),
+                         ["property", "trials", "worst_value", "passed"],
+                         [np.array(props), np.array(trials), np.array(worst, dtype=float),
+                          np.array([str(bool(p)).lower() for p in passed])])
 
 
 def _write_witness(out_dir, payload):

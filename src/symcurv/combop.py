@@ -9,7 +9,6 @@ coefficients exact for exact inputs.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import factorial
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "q_hess",
     "q_eval_batch",
     "q_grad_batch",
-    "q_hess_batch",
     "quotient_q",
     "shifted_profile",
     "profile_roots",
@@ -148,38 +146,16 @@ def _float_coeffs(op):
 
 
 @lru_cache(maxsize=None)
-def _complements(n, size):
-    # row r lists the indices outside the r-th size-subset of range(n)
-    # (subsets in lexicographic order)
-    return np.array([[i for i in range(n) if i not in c] for c in combinations(range(n), size)],
-                    dtype=int).reshape(-1, n - size)
+def _complements(n):
+    # row i lists the indices other than i
+    return np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=int)
 
 
 def q_grad_batch(op, values):
     """Vectorized Q^{ii}: values shape (..., n) -> shape (..., n)."""
     arr = np.asarray(values, dtype=float)
-    rest = arr[..., _complements(op.n, 1)]
+    rest = arr[..., _complements(op.n)]
     return sigma_all_batch(rest, op.k - 1) @ _float_coeffs(op)[1:]
-
-
-@lru_cache(maxsize=None)
-def _pairs(n):
-    # index arrays (p, q) of the pairs p < q, in combinations(range(n), 2) order
-    return np.triu_indices(n, 1)
-
-
-def q_hess_batch(op, values):
-    """Vectorized Q^{pp,qq}: values shape (..., n) -> shape (..., n, n), zero diagonal."""
-    arr = np.asarray(values, dtype=float)
-    n = op.n
-    out = np.zeros(arr.shape + (n,))
-    if op.k < 2:
-        return out
-    p, q = _pairs(n)
-    vals = sigma_all_batch(arr[..., _complements(n, 2)], op.k - 2) @ _float_coeffs(op)[2:]
-    out[..., p, q] = vals
-    out[..., q, p] = vals
-    return out
 
 
 def quotient_q(lam, k, alpha):

@@ -3,9 +3,11 @@
 Fields under test are scalar functions on an open cone.  Two instruments:
 a midpoint test 2f(x) - f(x+eps*xi) - f(x-eps*xi) >= 0 (exact for concave f
 at any admissible probe size, so it runs tight tolerances even near the
-cone boundary) and a central-difference Hessian whose maximum eigenvalue
-must be nonpositive (run at interior points, where floating-point noise is
-controlled).
+cone boundary) and the largest eigenvalue of the Hessian, which must be
+nonpositive.  The Hessian is exact up to rounding: it is propagated as
+second-order Taylor jets (symfun.Jet) through the field's own kernel, so
+it needs no step and no probe other than the point itself (Griewank &
+Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13).
 
 Residuals are normalized: midpoint defects by 1 + |f(x)|, Hessian
 eigenvalues by (1 + |f(x)|) / (1 + |x|_inf)^2.
@@ -17,15 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, DomainExitError, SingularityError
-from .symfun import as_tuple, sigma_all, sigma_all_batch
-from .combop import (
-    OperatorSpec,
-    LowerOperatorSpec,
-    _pairs,
-    q_eval_batch,
-    q_grad_batch,
-    q_hess_batch,
-)
+from .symfun import Jet, as_tuple, sigma_all, sigma_all_batch
+from .combop import OperatorSpec, LowerOperatorSpec, q_eval_batch
 from .cones import (
     ConeSpec,
     VerificationReport,
@@ -53,24 +48,24 @@ __all__ = [
     "root_q_field",
     "lower_quotient_field",
     "fd_hessian",
-    "default_step",
     "concavity_scan",
     "q1_closed_form_check",
     "guan_inequality_check",
     "guan_scan",
 ]
 
-_EPS = float(np.finfo(float).eps)
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """A named scalar function with its domain cone (None = all of R^n).
 
-    values(points) is the one evaluation path.  batch_fn maps an (m, n)
-    array to m values; the catalog fields below are built from this batch
-    kernel alone.  A hand-written field may give a scalar fn instead, which
-    values applies row by row.  Calling the field evaluates one point
+    values(points) is the one float evaluation path.  batch_fn maps an
+    (m, n) array to m values; the catalog fields below are built from this
+    batch kernel alone.  A hand-written field may give a scalar fn instead,
+    which values applies row by row to a tuple of n floats.  jet(x) runs
+    the same kernel on a Jet (the Hessian trials of concavity_scan), and
+    then fn gets a tuple of n jet columns: fn and batch_fn may use only
+    +, -, *, / and real powers (x[0] * x[1] and sum(x) qualify, float()
+    and math functions do not).  Calling the field evaluates one point
     through values and raises SingularityError where the value is not
     finite.
     """
@@ -96,6 +91,12 @@ class ScalarField:
         if self.batch_fn is not None:
             return np.asarray(self.batch_fn(pts), dtype=float)
         return np.array([self.fn(tuple(p)) for p in pts], dtype=float)
+
+    def jet(self, x):
+        """The field on a Jet x of value shape (m, n): a Jet of shape (m,)."""
+        if self.batch_fn is not None:
+            return self.batch_fn(x)
+        return self.fn(tuple(x[:, i] for i in range(self.n)))
 
     def inside(self, points):
         """Boolean mask of strict domain membership for an (m, n) array."""
@@ -208,124 +209,53 @@ def lower_quotient_field(op, lower):
 # ---------------------------------------------------------------------------
 # instruments
 
-def default_step(x):
-    """Central-second-difference step: eps^(1/4) * (1 + |x|_inf).
-
-    The fourth-root scaling balances truncation against roundoff for second
-    differences; the cube-root first-derivative step leaves ~1e-5 noise in
-    the normalized eigenvalues, too coarse for the 1e-6 gate used here.
-    """
-    return _EPS**0.25 * (1.0 + max(abs(float(v)) for v in x))
-
-
-@lru_cache(maxsize=None)
-def _hessian_stencil(n):
-    # displacement stencil (unit steps) for one central-difference Hessian:
-    # row 0 is the base point, then +-e_i, then the four corners per (i, j)
-    rows = [np.zeros(n)]
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        rows.extend([e, -e])
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = np.zeros(n)
-            d[i], d[j] = 1.0, 1.0
-            rows.append(d.copy())
-            d[j] = -1.0
-            rows.append(d.copy())
-            d[i], d[j] = -1.0, 1.0
-            rows.append(d.copy())
-            d[j] = -1.0
-            rows.append(d.copy())
-    return np.array(rows)
-
-
-def _stencil_probes(xs, hs):
-    """Central-difference probe points, shape (m, 2n^2+1, n), for rows of
-    xs (m, n) with steps hs (m,)."""
-    return xs[:, None, :] + hs[:, None, None] * _hessian_stencil(xs.shape[1])[None]
-
-
-def _hessians_from_values(vals, n, hs):
-    """Central-difference Hessians (m, n, n) from stencil values (m, 2n^2+1)."""
-    m = vals.shape[0]
-    h2 = (hs**2)[:, None]
-    fx = vals[:, :1]
-    hess = np.zeros((m, n, n))
-    diag = np.arange(n)
-    hess[:, diag, diag] = (vals[:, 1: 2 * n + 1: 2] - 2.0 * fx + vals[:, 2: 2 * n + 2: 2]) / h2
-    if n > 1:
-        i, j = _pairs(n)  # same pair order as the stencil
-        fpp, fpm, fmp, fmm = vals[:, 2 * n + 1:].reshape(m, -1, 4).transpose(2, 0, 1)
-        off = (fpp - fpm - fmp + fmm) / (4.0 * h2)
-        hess[:, i, j] = off
-        hess[:, j, i] = off
-    return hess
-
-
 def fd_hessian(field, x, h):
-    """Symmetrized central-difference Hessian of the field at x, step h.
-
-    Every probe point must stay inside the field's domain cone; a probe
-    that exits raises DomainExitError carrying the offending point.
-    """
+    """Central-difference Hessian of the field at x, step h: entry (i, j)
+    from the four corners x + h*(+-e_i +- e_j) (the diagonal from x +- 2h*e_i).
+    A probe outside the domain cone raises DomainExitError carrying it."""
     xv = np.array([float(v) for v in as_tuple(x)])
     n = xv.size
     if field.n != n:
         raise DomainError(f"field expects n={field.n}, got {n}")
-    hs = np.array([float(h)])
-    probes = _stencil_probes(xv[None, :], hs)[0]
+    steps = h * np.eye(n)
+    # probes[a, b, i, j] = x + s_a h e_i + s_b h e_j, s = (1, -1)
+    probes = np.array([[xv + a * steps[:, None] + b * steps for b in (1, -1)]
+                       for a in (1, -1)]).reshape(-1, n)
     ok = field.inside(probes)
     if not ok.all():
-        bad = probes[int(np.argmin(ok))]
         raise DomainExitError("finite-difference probe left the domain cone",
-                              point=tuple(bad))
-    return _hessians_from_values(field.values(probes)[None, :], n, hs)[0]
+                              point=tuple(probes[int(np.argmin(ok))]))
+    (pp, pm), (mp, mm) = field.values(probes).reshape(2, 2, n, n)
+    return (pp - pm - mp + mm) / (4.0 * h * h)
 
 
-def _validated_max_eigs(field, xs, gate):
-    """Normalized max Hessian eigenvalues with a step-halving validity gate.
+@lru_cache(maxsize=None)
+def _polarization(n):
+    """Directions e_i, then e_i + e_j for the pairs (i, j), i < j, of triu_indices."""
+    i, j = np.triu_indices(n, 1)
+    return np.concatenate([np.eye(n), np.eye(n)[i] + np.eye(n)[j]]), i, j
 
-    For each row of xs (m, n), evaluates the central-difference Hessian at
-    steps h and h/2 and accepts the Richardson extrapolate
-    (4*H(h/2) - H(h))/3 only when the two max-eigenvalue estimates agree
-    within `gate` (normalized); otherwise the step is halved, up to 3
-    times.  A stencil that leaves the domain also halves the step.  Returns
-    (values, validated); rows with no trustworthy estimate (truncation-
-    dominated probe, e.g. too close to the cone boundary) are not validated.
-    """
+
+def _max_hessian_eigs(field, xs):
+    """Normalized largest Hessian eigenvalue of the field at each row of
+    xs (m, n), -inf where the Hessian or the value is not finite.
+
+    One jet evaluation along the directions e_i and e_i + e_j (i < j)
+    gives c2(d) = d^T H d / 2 exactly up to rounding, so by polarization
+    H_ii = 2 c2(e_i) and H_ij = c2(e_i + e_j) - c2(e_i) - c2(e_j)."""
     m, n = xs.shape
-    top = 1.0 + np.max(np.abs(xs), axis=1)
-    h = 2.0 * _EPS**0.25 * top
-    values = np.full(m, np.nan)
-    validated = np.zeros(m, dtype=bool)
-    for _ in range(3):
-        rows = (~validated).nonzero()[0]
-        if rows.size == 0:
-            break
-        k = rows.size
-        hs = np.concatenate([h[rows], 0.5 * h[rows]])
-        probes = _stencil_probes(np.concatenate([xs[rows], xs[rows]]), hs)
-        s = probes.shape[1]
-        inside = field.inside(probes.reshape(-1, n)).reshape(2 * k, s).all(axis=1)
-        usable = (inside[:k] & inside[k:]).nonzero()[0]
-        if usable.size:
-            both = np.concatenate([usable, usable + k])
-            vals = field.values(probes[both].reshape(-1, n)).reshape(-1, s)
-            hess = _hessians_from_values(vals, n, hs[both])
-            coarse, fine = hess[: usable.size], hess[usable.size:]
-            extrap = (4.0 * fine - coarse) / 3.0
-            # stencil row 0 is x itself
-            scale = (1.0 + np.abs(vals[: usable.size, 0])) / top[rows[usable]] ** 2
-            e_coarse, e_fine, e_extrap = np.linalg.eigvalsh(
-                np.concatenate([hess, extrap]))[:, -1].reshape(3, -1) / scale
-            agree = np.abs(e_coarse - e_fine) <= gate
-            done = rows[usable[agree]]
-            values[done] = e_extrap[agree]
-            validated[done] = True
-        h[rows] *= 0.5
-    return values, validated
+    dirs, i, j = _polarization(n)
+    d = dirs.shape[0]
+    f = field.jet(Jet(Jet.of(xs[:, None], dirs, 0.0).c.reshape(3, m * d, n))).c.reshape(3, m, d)
+    half = f[2]
+    hess = np.empty((m, n, n))
+    hess[:, range(n), range(n)] = 2.0 * half[:, :n]
+    hess[:, i, j] = hess[:, j, i] = half[:, n:] - half[:, i] - half[:, j]
+    scale = (1.0 + np.abs(f[0, :, 0])) / (1.0 + np.max(np.abs(xs), axis=1)) ** 2
+    ok = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(scale)
+    values = np.full(m, -np.inf)
+    values[ok] = np.linalg.eigvalsh(hess[ok])[:, -1] / scale[ok]
+    return values
 
 
 def _midpoint_residuals(field, xs, dirs):
@@ -381,28 +311,6 @@ def _midpoint_chunk(field, draws, start, xs, found, directions):
     return xs, dirs, res, eps
 
 
-def _hessian_chunk(field, draws, start, xs, found, gate, margin):
-    """Validated max Hessian eigenvalues of one chunk of trials, given their
-    first samples; a trial whose estimate does not validate is resampled,
-    up to 6 samples in all.  Returns (values, points, validated)."""
-    m = found.size
-    values = np.full(m, -np.inf)
-    points = np.zeros((m, field.n))
-    done = np.zeros(m, dtype=bool)
-    for j in range(6):
-        if j:
-            if done.all():
-                break
-            [(xs, found)] = _sample(field.domain, draws,
-                                    [_Part(_PHASE_HESSIAN + j, start, m, 0.5, margin, ~done)])
-        rows = found.nonzero()[0]
-        if rows.size:
-            got, ok = _validated_max_eigs(field, xs[rows], gate)
-            rows = rows[ok]
-            values[rows], points[rows], done[rows] = got[ok], xs[rows], True
-    return values, points, done
-
-
 def concavity_scan(
     field,
     trials,
@@ -417,20 +325,21 @@ def concavity_scan(
 
     Midpoint trials sample the full (boundary-biased) cone distribution and
     must stay >= -tol after normalization.  Hessian trials sample interior
-    points (normalized cone margin >= hessian_margin), validate each
-    eigenvalue estimate by step-halving agreement (up to 6 resamples per
-    trial), and require the maximum eigenvalue <= hessian_tol after
-    normalization.  Defaults: hessian_trials = max(1, trials // 10).
+    points (normalized cone margin >= hessian_margin), take the exact
+    Hessian from second-order jets (see _max_hessian_eigs; a hand-written
+    fn must therefore take jets) and require its maximum eigenvalue
+    <= hessian_tol after normalization.  Defaults: hessian_trials =
+    max(1, trials // 10).
 
-    Returns a VerificationReport; details carry the Hessian worst case, the
-    number of validated Hessian probes and the evidence counters:
-    trials_evaluated (midpoint trials with a finite residual),
-    trials_skipped (midpoint trials the sampler found no point for) and
-    directions_unresolved (sampled (trial, direction) pairs with no
-    admissible probe size or a non-finite residual).  A scan with no finite
-    midpoint residual, or with Hessian trials requested and none
-    validated, is inconclusive: details["inconclusive"] is True and the
-    report does not pass.
+    Returns a VerificationReport; details carry the Hessian worst case,
+    hessian_validated (Hessian points with a finite eigenvalue) and the
+    evidence counters: trials_evaluated (midpoint trials with a finite
+    residual), trials_skipped (midpoint trials the sampler found no point
+    for) and directions_unresolved (sampled (trial, direction) pairs with
+    no admissible probe size or a non-finite residual).  A scan with no
+    finite midpoint residual, or with Hessian trials requested and no
+    finite Hessian eigenvalue, is inconclusive: details["inconclusive"] is
+    True and the report does not pass.
     """
     if field.domain is None:
         raise DomainError("concavity_scan needs a field with a domain cone")
@@ -469,13 +378,11 @@ def concavity_scan(
                                  "eps": float(eps[i, j])}
         if c < len(hess_chunks):
             xs, found = sampled.pop(0)
-            values, points, done = _hessian_chunk(field, draws, hess_chunks[c][0], xs, found,
-                                                  0.3 * hessian_tol, hessian_margin)
-            validated += int(done.sum())
-            i = int(np.argmax(values))
-            if done[i] and values[i] > hess_worst:
-                hess_worst = float(values[i])
-                hess_witness = tuple(float(v) for v in points[i])
+            values = _max_hessian_eigs(field, xs[found])
+            validated += int(np.sum(values > -np.inf))
+            if values.size and values.max() > hess_worst:
+                hess_worst = float(values.max())
+                hess_witness = tuple(float(v) for v in xs[found][values.argmax()])
 
     inconclusive = evaluated == 0 or (hessian_trials >= 1 and validated == 0)
     passed = not inconclusive and bool(mid_worst >= -tol) and bool(hess_worst <= hessian_tol)
@@ -580,17 +487,15 @@ def _guan_terms(op, low, beta, delta, w, v):
     """Residuals of both quotient-concavity inequalities for rows of
     diagonal curvature tensors w (m, n) and derivative vectors v (m, n).
 
-    Returns (residual_1, residual_2, a_q, Q(W), S_l(W)), each shape (m,);
-    Q, S_l, their gradients and Hessians are evaluated once per row.
+    Returns (residual_1, residual_2, a_q, Q(W), S_l(W)), each shape (m,).
+    Q and S_l with their first and second derivatives along v (a_q =
+    v^T Hess Q v) come from one jet w + t*v per row.
     """
-    qv = q_eval_batch(op, w)
-    sv = q_eval_batch(low, w)
+    jet = Jet.of(w, v, 0.0)
+    (qv, dq, half_q), (sv, ds, half_s) = q_eval_batch(op, jet).c, q_eval_batch(low, jet).c
     if np.any(qv == 0.0) or np.any(sv == 0.0):
         raise SingularityError("Q(W) or S_l(W) vanishes")
-    a_q = np.einsum("mp,mpq,mq->m", v, q_hess_batch(op, w), v)
-    a_s = np.einsum("mp,mpq,mq->m", v, q_hess_batch(low, w), v)
-    dq = np.sum(q_grad_batch(op, w) * v, axis=-1)
-    ds = np.sum(q_grad_batch(low, w) * v, axis=-1)
+    a_q, a_s = 2.0 * half_q, 2.0 * half_s
     gq = dq / qv
     gs = ds / sv
 

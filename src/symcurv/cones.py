@@ -11,7 +11,7 @@ with the counter [block, group, phase, 0]: in each (phase, group) trial i
 owns the fixed-width block of doubles starting at double i*W (W a multiple
 of 4, so the block is W/4 whole Philox counter blocks).  The phase
 separates the independent draws of one trial (its cone point, a second
-point, its normal directions, its Hessian resamples); the sampler's
+point, its normal directions, its interior Hessian point); the sampler's
 rejection tries come in groups of _TRY_GROUP, try r reading the slice
 r mod _TRY_GROUP of the block of group r // _TRY_GROUP.  Only
 fixed-consumption variates (``random()``) are drawn and then transformed,
@@ -23,6 +23,7 @@ trial_rng(seed, i) is a separate per-trial generator (trial index in the
 top counter word) for code that draws one trial at a time.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -117,7 +118,7 @@ _CHUNK = 512  # trials drawn and evaluated together; bounds memory per scan
 _PHASE_POINT = 0      # the trial's cone point
 _PHASE_OTHER = 1      # a second cone point (segment convexity)
 _PHASE_NORMAL = 2     # normal vectors (midpoint directions, Guan derivative vectors)
-_PHASE_HESSIAN = 3    # Hessian resamples use _PHASE_HESSIAN + j
+_PHASE_HESSIAN = 3    # interior points of the Hessian trials
 
 
 def _width(count):
@@ -317,7 +318,7 @@ def _candidates(spec, u, mixed):
     return cand
 
 
-def _sample_rounds(spec, draw, active, boundary_bias, floor, max_tries=_MAX_TRIES):
+def _sample_rounds(spec, draw, boundary_bias, floor, max_tries=_MAX_TRIES):
     """Masked rejection rounds for a batch of trials.
 
     Round r makes try r of every trial still pending; a try is accepted when
@@ -326,13 +327,12 @@ def _sample_rounds(spec, draw, active, boundary_bias, floor, max_tries=_MAX_TRIE
     r..r+rounds-1 of the given rows, shape (rounds, len(rows), >= 2n+3).
     Several rounds (of one try group) are evaluated in one pass when few
     trials are pending (_pass_rounds); the result is the same as one round
-    at a time.  boundary_bias and floor are per-row arrays; only the rows
-    of `active` are sampled.  Returns (points, found), shapes (m, n) and
-    (m,).
+    at a time.  boundary_bias and floor are per-row arrays.  Returns
+    (points, found), shapes (m, n) and (m,).
     """
-    points = np.zeros((active.size, spec.n))
-    found = np.zeros(active.size, dtype=bool)
-    rows = active.nonzero()[0]
+    points = np.zeros((floor.size, spec.n))
+    found = np.zeros(floor.size, dtype=bool)
+    rows = np.arange(floor.size)
     r = 0
     while r < max_tries and rows.size:
         # without a margin floor most trials accept their first try, so
@@ -353,15 +353,8 @@ def _sample_rounds(spec, draw, active, boundary_bias, floor, max_tries=_MAX_TRIE
     return points, found
 
 
-class _Part:
-    """Trials start..start+count-1 of one phase, for _sample; active masks
-    the trials to sample (None samples all)."""
-
-    __slots__ = ("phase", "start", "count", "boundary_bias", "min_margin", "active")
-
-    def __init__(self, phase, start, count, boundary_bias=0.8, min_margin=0.0, active=None):
-        self.phase, self.start, self.count = phase, start, count
-        self.boundary_bias, self.min_margin, self.active = boundary_bias, min_margin, active
+# trials start..start+count-1 of one phase, for _sample
+_Part = namedtuple("_Part", "phase start count boundary_bias min_margin", defaults=(0.8, 0.0))
 
 
 def _sample(spec, draws, parts):
@@ -374,8 +367,6 @@ def _sample(spec, draws, parts):
     width = _width(2 * spec.n + 3)
     counts = [part.count for part in parts]
     ends = np.cumsum([0] + counts)
-    active = np.concatenate([np.ones(part.count, dtype=bool) if part.active is None
-                             else part.active for part in parts])
     bias = np.repeat([part.boundary_bias for part in parts], counts)
     floor = np.repeat([max(part.min_margin, spec.tol) for part in parts], counts)
 
@@ -390,7 +381,7 @@ def _sample(spec, draws, parts):
                 out.append(u[:, sub - lo])
         return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
 
-    points, found = _sample_rounds(spec, draw, active, bias, floor)
+    points, found = _sample_rounds(spec, draw, bias, floor)
     return [(points[lo:hi], found[lo:hi]) for lo, hi in zip(ends[:-1], ends[1:])]
 
 
@@ -399,7 +390,7 @@ def _sample_one(spec, rng, boundary_bias=0.8, min_margin=0.0, max_tries=_MAX_TRI
     block of uniforms per try), or None after max_tries."""
     width = _width(2 * spec.n + 3)
     points, found = _sample_rounds(spec, lambda r, rounds, rows: rng.random((rounds, 1, width)),
-                                   np.ones(1, dtype=bool), np.array([boundary_bias]),
+                                   np.array([boundary_bias]),
                                    np.array([max(min_margin, spec.tol)]), max_tries)
     return tuple(points[0].tolist()) if found[0] else None
 

@@ -811,10 +811,10 @@ def monitor_path(path):
 # CSV export (repr() of Python floats round-trips IEEE doubles exactly)
 
 def _write_csv(path, header, columns):
-    """Write a CSV in one pass, byte for byte as csv.writer writes
-    str(int) and repr(float) cells: each column (an integer or float array)
+    """Write a CSV in one pass, byte for byte as csv.writer writes repr(float)
+    and str(other) cells that need no quoting: each column (an ndarray)
     converted once, cells joined by "," and rows ended by "\r\n"."""
-    cells = [map(str if col.dtype.kind in "iu" else repr, col.tolist()) for col in columns]
+    cells = [map(repr if col.dtype.kind == "f" else str, col.tolist()) for col in columns]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\r\n")
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError
 
 __all__ = [
+    "Jet",
     "elem_sym",
     "elem_sym_deleted",
     "sigma_all",
@@ -225,20 +226,112 @@ def matrix_symfun_second_derivative(k, a_diag, b):
     return total
 
 
-def sigma_all_batch(values, upto):
-    """Vectorized sigma_0..sigma_upto along the last axis of an ndarray.
+class Jet:
+    """Second-order Taylor jet c0 + c1*t + c2*t^2 of an array-valued function
+    of t, the coefficients stacked on axis 0 of the ndarray c.  Arithmetic
+    with jets and constants, real powers, indexing on the value axes,
+    transpose and ``@`` with a constant propagate them exactly up to
+    rounding (Griewank, Utke & Walther, Math. Comp. 69, 2000): a kernel fed
+    the jet x + t*d returns f(x), f's derivative along d and half its
+    second derivative along d."""
 
-    values has shape (..., n); returns shape (..., upto+1), float dtype.
+    __array_ufunc__ = None  # ndarray <op> Jet defers to the Jet's reflected op
+
+    def __init__(self, c):
+        self.c = c
+
+    @classmethod
+    def of(cls, c0, c1, c2):
+        """The jet with these coefficients, broadcast to one value shape."""
+        c = np.empty((3,) + np.broadcast(c0, c1, c2).shape)
+        c[0], c[1], c[2] = c0, c1, c2
+        return cls(c)
+
+    @property
+    def shape(self):
+        return self.c.shape[1:]
+
+    def __getitem__(self, key):
+        return Jet(self.c[(slice(None),) + (key if isinstance(key, tuple) else (key,))])
+
+    def __setitem__(self, key, value):
+        for c, part in zip(self.c, value.c if isinstance(value, Jet) else (value, 0.0, 0.0)):
+            c[key] = part
+
+    def transpose(self, axes):
+        return Jet(self.c.transpose((0,) + tuple(a + 1 for a in axes)))
+
+    def copy(self):
+        return Jet(self.c.copy())
+
+    def __matmul__(self, const):
+        return Jet(self.c @ const)
+
+    def __neg__(self):
+        return Jet(-self.c)
+
+    def __add__(self, other):
+        a, b = _aligned(self, other)
+        return Jet(a + b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet) and np.ndim(other) == 0:
+            return Jet(self.c * other)
+        a, b = _aligned(self, other)
+        c = a[0] * b
+        c[1:] += a[1] * b[:2]
+        c[2] += a[2] * b[0]
+        return Jet(c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        a, b = _aligned(self, other)
+        q = a / b[0]
+        q[1] -= q[0] * b[1] / b[0]
+        q[2] -= (q[0] * b[2] + q[1] * b[1]) / b[0]
+        return Jet(q)
+
+    def __rtruediv__(self, other):
+        return Jet.of(other, 0.0, 0.0) / self
+
+    def __pow__(self, p):
+        x0, x1, x2 = self.c
+        d1 = p * x0 ** (p - 1)
+        return Jet.of(x0**p, d1 * x1, d1 * x2 + 0.5 * p * (p - 1) * x0 ** (p - 2) * x1 * x1)
+
+
+def _aligned(*xs):
+    """The coefficient arrays of Jets or constants (whose t-terms are zero),
+    with value axes padded in front to a common number of axes."""
+    cs = [x.c if isinstance(x, Jet) else Jet.of(x, 0.0, 0.0).c for x in xs]
+    nd = max(c.ndim for c in cs)
+    return [c[(slice(None),) + (None,) * (nd - c.ndim)] for c in cs]
+
+
+def sigma_all_batch(values, upto):
+    """Vectorized sigma_0..sigma_upto along the last axis of an ndarray or Jet.
+
+    values has shape (..., n); returns shape (..., upto+1), float dtype (a
+    Jet for a Jet).
     """
     cols = _entry_major(values)
     e = _sigma_rows(cols, upto)
-    return np.ascontiguousarray(e.transpose(tuple(range(1, e.ndim)) + (0,)))
+    return e.transpose(tuple(range(1, len(e.shape))) + (0,)).copy()
 
 
 def _entry_major(values):
-    """View of a (..., n) float array with the entry axis first: (n, ...)."""
-    arr = np.asarray(values, dtype=float)
-    d = arr.ndim - 1
+    """View of a (..., n) float array or Jet with the entry axis first: (n, ...)."""
+    arr = values if isinstance(values, Jet) else np.asarray(values, dtype=float)
+    d = len(arr.shape) - 1
     return arr.transpose((d,) + tuple(range(d)))
 
 
@@ -248,6 +341,8 @@ def _sigma_rows(cols, upto):
     Working entry-major, every step of the recurrence reads and writes
     contiguous rows."""
     e = np.zeros((upto + 1,) + cols.shape[1:])
+    if isinstance(cols, Jet):
+        e = Jet.of(e, 0.0, 0.0)
     e[0] = 1.0
     if upto and cols.shape[0]:
         # step 0 adds cols[0] * sigma_0 = cols[0] to sigma_1 = 0 (+ 0.0

@@ -1,12 +1,19 @@
 from fractions import Fraction as F
+from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
+import sympy
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from symcurv import concave, cones, symfun, hypcheck
+from symcurv import combop, concave, cones, symfun, hypcheck
 from symcurv.combop import OperatorSpec, lower_operator
+from symcurv.symfun import Jet
 from symcurv.cones import ConeSpec, trial_rng, _sample_one
 from symcurv.errors import DomainError, DomainExitError, SingularityError
+
+from oracles import elem_sym_enumerate
 
 
 def test_fd_hessian_hooks():
@@ -24,7 +31,7 @@ def test_fd_hessian_matches_sigma_hess():
     rng = np.random.default_rng(0)
     for _ in range(10):
         x = tuple(rng.uniform(0.5, 2.0, 4))
-        got = concave.fd_hessian(fld, x, concave.default_step(x))
+        got = concave.fd_hessian(fld, x, 1e-4 * (1.0 + max(x)))
         want = np.array(symfun.sigma_hess(x, 2), dtype=float)
         assert got == pytest.approx(want, rel=1e-5, abs=1e-5)
 
@@ -67,7 +74,7 @@ def test_q1_closed_form_randomized():
 
 def test_concavity_scan_linear_field():
     fld = concave.ScalarField(
-        "sigma1", 3, lambda x: float(sum(x)), domain=ConeSpec("garding", 3, 1)
+        "sigma1", 3, lambda x: sum(x), domain=ConeSpec("garding", 3, 1)
     )
     rep = concave.concavity_scan(fld, 200, seed=3)
     assert rep.passed
@@ -208,3 +215,103 @@ def test_guan_scan_small():
     assert rep.passed
     assert rep.worst_value >= -1e-9
     assert "second_inequality_worst" in rep.details
+
+
+# ---------------------------------------------------------------------------
+# exactness of the jet Hessians
+
+_X = sympy.symbols("x0:5")
+
+
+def _q_expr(n, coeffs):
+    """sum_s coeffs[s] sigma_s(x_0..x_{n-1}) as a sympy expression, the
+    coefficients taken at their exact value."""
+    return sum(sympy.Rational(F(c)) * elem_sym_enumerate(_X[:n], s)
+               for s, c in enumerate(coeffs) if c)
+
+
+def _sum_type_expr(n, k, alpha):
+    return _q_expr(n, [0] * (k - 1) + [alpha, 1])
+
+
+@lru_cache(maxsize=None)
+def _exact_cases():
+    """(field, its sympy Hessian as an mpmath function) for each catalog kind."""
+    op = OperatorSpec.sum_type(4, 3, F(2))
+    rep = hypcheck.check_condition_c(op)
+    low = lower_operator(op, rep.witness, 1, rep.N)
+    q, ql, half = _q_expr(4, op.alphas), _q_expr(4, low.coeffs), sympy.Rational(1, 2)
+    cases = [
+        (concave.quotient_qk_field(4, 2, 0.5),
+         _sum_type_expr(4, 3, 0.5) / _sum_type_expr(4, 2, 0.5)),
+        (concave.quotient_qk_field(5, 3, 2.0),
+         _sum_type_expr(5, 4, 2.0) / _sum_type_expr(5, 3, 2.0)),
+        (concave.sigma_over_q_field(4, 3, 2.0),
+         elem_sym_enumerate(_X[:4], 3) / _sum_type_expr(4, 3, 2.0)),
+        (concave.sum_ratio_field(5, 3, 1, 0.5),
+         (_sum_type_expr(5, 3, 0.5) / _sum_type_expr(5, 1, 0.5)) ** half),
+        (concave.sum_root_field(3, 2, 2.0), _sum_type_expr(3, 2, 2.0) ** half),
+        (concave.root_q_field(op), q ** sympy.Rational(1, 3)),
+        (concave.lower_quotient_field(op, low), (q / ql) ** half),
+    ]
+    return [(fld, sympy.lambdify(_X[:fld.n], sympy.hessian(expr, _X[:fld.n]), "mpmath", cse=True))
+            for fld, expr in cases]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(case=st.integers(0, 6), data=st.data())
+def test_jet_hessian_equals_exact_hessian(case, data):
+    # at dyadic rational points (exact in binary), the jet's second
+    # directional derivatives and the scan's normalized largest eigenvalue
+    # match sympy's Hessian to 1e-12 relative
+    fld, exact = _exact_cases()[case]
+    n = fld.n
+    x = [F(data.draw(st.integers(-32, 256)), 2 ** data.draw(st.integers(0, 5))) for _ in range(n)]
+    xf = np.array([float(v) for v in x])
+    assume(cones.cone_margin(fld.domain, xf) >= 1e-2)
+    with mpmath.workdps(40):
+        hess = np.array(exact(*[mpmath.mpf(v.numerator) / v.denominator for v in x]).tolist(),
+                        dtype=float)
+    i, j = np.triu_indices(n)
+    dirs = np.eye(n)[i] + np.eye(n)[j]
+    jet = fld.jet(Jet.of(np.tile(xf, (dirs.shape[0], 1)), dirs, 0.0))
+    want = np.einsum("dp,pq,dq->d", dirs, hess, dirs)
+    assert np.all(np.abs(2.0 * jet.c[2] - want) <= 1e-12 * np.abs(hess).max() * 4.0)
+    scale = (1.0 + abs(fld(xf))) / (1.0 + np.abs(xf).max()) ** 2
+    got = concave._max_hessian_eigs(fld, xf[None])[0]
+    assert abs(got - np.linalg.eigvalsh(hess)[-1] / scale) <= 1e-12 * n * np.abs(hess).max() / scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 5), data=st.data())
+def test_guan_terms_match_exact_derivatives(n, data):
+    # a_q = v^T Hess Q v and grad Q . v from the jet along v, against the
+    # scalar combop path over Fractions
+    k = data.draw(st.integers(2, n))
+    op = OperatorSpec.sum_type(n, k, F(data.draw(st.integers(0, 12)), 4))
+    rep = hypcheck.check_condition_c(op)
+    low = lower_operator(op, rep.witness, k - 1, rep.N).as_operator()
+    w = [F(data.draw(st.integers(1, 256)), 2 ** data.draw(st.integers(0, 5))) for _ in range(n)]
+    v = [F(data.draw(st.integers(-256, 256)), 2 ** data.draw(st.integers(0, 5))) for _ in range(n)]
+    wf, vf = np.array([[float(t) for t in w]]), np.array([[float(t) for t in v]])
+    _, _, a_q, qv, _ = concave._guan_terms(op, low, 1.0, 1.0, wf, vf)
+    hess, grad = combop.q_hess(op, w), combop.q_grad(op, w)
+    terms = [hess[p][q] * v[p] * v[q] for p in range(n) for q in range(n)]
+    assert abs(a_q[0] - float(sum(terms))) <= 1e-12 * float(sum(abs(t) for t in terms))
+    assert qv[0] == pytest.approx(float(combop.q_eval(op, w)), rel=1e-12)
+    dq = combop.q_eval_batch(op, Jet.of(wf, vf, 0.0)).c[1][0]
+    terms = [g * t for g, t in zip(grad, v)]
+    assert abs(dq - float(sum(terms))) <= 1e-12 * float(sum(abs(t) for t in terms))
+
+
+def test_negative_control_hessian_is_exact():
+    # sigma_2 = x0 x1 has Hessian [[0, 1], [1, 0]]: the reported worst is
+    # its normalized largest eigenvalue 1 at the Hessian witness, exactly
+    fld = concave.ScalarField("sigma2", 2, lambda x: x[0] * x[1],
+                              domain=ConeSpec("garding", 2, 2))
+    rep = concave.concavity_scan(fld, 300, seed=4)
+    d = rep.details
+    assert not rep.passed and d["hessian_validated"] == d["hessian_trials"]
+    x = d["hessian_witness"]
+    want = (1.0 + max(abs(v) for v in x)) ** 2 / (1.0 + abs(x[0] * x[1]))
+    assert d["hessian_worst"] == pytest.approx(want, rel=1e-12) and want > 1e-3
