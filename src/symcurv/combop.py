@@ -250,16 +250,9 @@ def profile_roots(p):
         raise DomainError("constant polynomial has no roots")
     cf = _as_floats(coeffs)
     snap = 1e-8 * (1.0 + max(abs(c) for c in cf))
-    raw = np.roots(list(reversed(cf)))
-    out = []
-    for r in raw:
-        if abs(r.imag) <= snap:
-            out.append(float(r.real))
-        else:
-            out.append(complex(r))
-    out.sort(key=lambda z: (z.real if isinstance(z, complex) else z,
-                            z.imag if isinstance(z, complex) else 0.0))
-    return out
+    raw = np.roots(list(reversed(cf))).tolist()
+    out = [z.real if abs(z.imag) <= snap else z for z in raw]
+    return sorted(out, key=lambda z: (z.real, z.imag))  # a float's imag is 0.0
 
 
 @dataclass(frozen=True)

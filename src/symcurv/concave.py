@@ -29,7 +29,6 @@ from .cones import (
     _PHASE_HESSIAN,
     _PHASE_NORMAL,
     _PHASE_POINT,
-    _Draws,
     _Part,
     _chunks,
     _evidence_report,
@@ -93,10 +92,17 @@ class ScalarField:
         return np.array([self.fn(tuple(p)) for p in pts], dtype=float)
 
     def jet(self, x):
-        """The field on a Jet x of value shape (m, n): a Jet of shape (m,)."""
-        if self.batch_fn is not None:
-            return self.batch_fn(x)
-        return self.fn(tuple(x[:, i] for i in range(self.n)))
+        """The field on a Jet x of value shape (m, n): a Jet of shape (m,);
+        DomainError when the kernel breaks the jet contract above."""
+        try:
+            out = (self.batch_fn(x) if self.batch_fn is not None
+                   else self.fn(tuple(x[:, i] for i in range(self.n))))
+            if not isinstance(out, Jet):
+                raise TypeError(f"returned {type(out).__name__}, not a Jet")
+        except TypeError as exc:
+            raise DomainError(f"{self.name}: the exact Hessian evaluates the field on Taylor "
+                              "jets, so fn may use only +, -, *, / and real powers") from exc
+        return out
 
     def inside(self, points):
         """Boolean mask of strict domain membership for an (m, n) array."""
@@ -296,14 +302,17 @@ def _midpoint_residuals(field, xs, dirs):
     return res.reshape(m, d), eps.reshape(m, d)
 
 
-def _midpoint_chunk(field, draws, start, xs, found, directions):
+_DIRECTIONS = 4  # random midpoint directions per trial
+
+
+def _midpoint_chunk(field, seed, start, xs, found):
     """Midpoint residuals of one chunk of trials (see _midpoint_residuals)
-    along `directions` random unit directions per trial.  Returns the
+    along _DIRECTIONS random unit directions per trial.  Returns the
     trials that have a point, their directions, residuals (NaN read as
     unresolved, +inf) and probe sizes."""
     m, n = found.size, field.n
-    dirs = _normal_chunk(draws, _PHASE_NORMAL, start, m, directions * n)
-    dirs = dirs.reshape(m, directions, n)[found]
+    dirs = _normal_chunk(seed, _PHASE_NORMAL, start, m, _DIRECTIONS * n)
+    dirs = dirs.reshape(m, _DIRECTIONS, n)[found]
     dirs /= np.sqrt(np.sum(dirs * dirs, axis=2, keepdims=True))
     xs = xs[found]
     res, eps = _midpoint_residuals(field, xs, dirs)
@@ -318,14 +327,14 @@ def concavity_scan(
     tol=1e-9,
     hessian_trials=None,
     hessian_tol=1e-6,
-    directions=4,
     hessian_margin=1e-2,
 ):
     """Randomized concavity verification of a scalar field on its cone.
 
-    Midpoint trials sample the full (boundary-biased) cone distribution and
-    must stay >= -tol after normalization.  Hessian trials sample interior
-    points (normalized cone margin >= hessian_margin), take the exact
+    Midpoint trials sample the full (boundary-biased) cone distribution,
+    probe 4 random unit directions each and must stay >= -tol after
+    normalization.  Hessian trials sample interior points (normalized
+    cone margin >= hessian_margin, boundary bias 0.5), take the exact
     Hessian from second-order jets (see _max_hessian_eigs; a hand-written
     fn must therefore take jets) and require its maximum eigenvalue
     <= hessian_tol after normalization.  Defaults: hessian_trials =
@@ -345,8 +354,6 @@ def concavity_scan(
         raise DomainError("concavity_scan needs a field with a domain cone")
     if hessian_trials is None:
         hessian_trials = max(1, trials // 10)
-    dom, n = field.domain, field.n
-    draws = _Draws(seed)
     mid_worst = np.inf
     mid_witness = None
     mid_extra = None
@@ -360,11 +367,10 @@ def concavity_scan(
         parts = [_Part(_PHASE_POINT, *mid_chunks[c])] if c < len(mid_chunks) else []
         if c < len(hess_chunks):
             parts.append(_Part(_PHASE_HESSIAN, *hess_chunks[c], 0.5, hessian_margin))
-        sampled = _sample(dom, draws, parts)
+        sampled = _sample(field.domain, seed, parts)
         if c < len(mid_chunks):
             xs, found = sampled.pop(0)
-            xs, dirs, res, eps = _midpoint_chunk(field, draws, mid_chunks[c][0], xs, found,
-                                                 directions)
+            xs, dirs, res, eps = _midpoint_chunk(field, seed, mid_chunks[c][0], xs, found)
             resolved = res < np.inf
             skipped += found.size - xs.shape[0]
             unresolved += int(resolved.size - resolved.sum())
@@ -521,11 +527,12 @@ def guan_inequality_check(inp):
     return float(r1[0]), float(r2[0])
 
 
-def guan_scan(op, s_l, trials, seed, delta=1.0, tol=1e-9, w_scale=1.0):
+def guan_scan(op, s_l, trials, seed, delta=1.0, tol=1e-9):
     """Randomized scan of the first quotient-concavity inequality.
 
-    Samples W in Gamma_k and normal derivative vectors; worst_value is the
-    minimum of residual_1 / (1 + |a_q / Q| + |residual_1|), with a_q the
+    Samples W in Gamma_k and normal derivative vectors scaled by
+    1 + |W|_inf; worst_value is the minimum of
+    residual_1 / (1 + |a_q / Q| + |residual_1|), with a_q the
     Hessian of Q contracted with the derivative vector.  The second
     inequality's worst normalized residual is reported in details, not
     asserted.  A trial the sampler finds no point for is skipped.
@@ -533,16 +540,15 @@ def guan_scan(op, s_l, trials, seed, delta=1.0, tol=1e-9, w_scale=1.0):
     cone = ConeSpec("garding", op.n, op.k)
     low = s_l.as_operator()
     beta = 1.0 / (op.k - s_l.l)
-    draws = _Draws(seed)
     worst1 = np.inf
     worst2 = np.inf
     witness = None
     extra = None
     evaluated = 0
     for start, m in _chunks(trials):
-        [(w, found)] = _sample(cone, draws, [_Part(_PHASE_POINT, start, m)])
-        v = _normal_chunk(draws, _PHASE_NORMAL, start, m, op.n)
-        w, v = w[found], v[found] * (w_scale * (1.0 + np.max(np.abs(w[found]), axis=1)))[:, None]
+        [(w, found)] = _sample(cone, seed, [_Part(_PHASE_POINT, start, m)])
+        v = _normal_chunk(seed, _PHASE_NORMAL, start, m, op.n)
+        w, v = w[found], v[found] * (1.0 + np.max(np.abs(w[found]), axis=1))[:, None]
         evaluated += w.shape[0]
         if w.shape[0] == 0:
             continue

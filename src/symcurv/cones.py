@@ -15,7 +15,8 @@ point, its normal directions, its interior Hessian point); the sampler's
 rejection tries come in groups of _TRY_GROUP, try r reading the slice
 r mod _TRY_GROUP of the block of group r // _TRY_GROUP.  Only
 fixed-consumption variates (``random()``) are drawn and then transformed,
-so trial i's draws depend only on (seed, i): not on the trial count, the
+and each draw builds its own Philox generator, so the draws are a pure
+function of (seed, phase, try group, trial): not of the trial count, the
 chunk boundaries or the other trials, and no two trials share a draw.
 Scans process trials in chunks of _CHUNK, drawing a chunk with one Philox
 call per pass and evaluating it in masked, vectorized rounds.
@@ -126,43 +127,21 @@ def _width(count):
     return 4 * -(-count // 4)
 
 
-class _Draws:
-    """Uniform draws of one seed's Philox stream in the scans' layout.
+def _uniforms(seed, phase, first, rounds, start, count, width, group=1):
+    """Uniforms of trials start..start+count-1 for tries first..first+rounds-1
+    in `phase`: shape (rounds, count, width).
 
-    One bit generator per phase is reused while successive draws of that
-    phase move forward in the counter, and rebuilt when a draw lies behind
-    the last one."""
-
-    def __init__(self, seed):
-        self.seed = seed
-        # phase -> (bit generator, generator, counter after its last draw:
-        # the next block it makes is that counter + 1)
-        self._streams = {}
-
-    def uniforms(self, phase, first, rounds, start, count, width, group=1):
-        """Uniforms of trials start..start+count-1 for tries first..first+rounds-1
-        in `phase`: shape (rounds, count, width).
-
-        Tries come in groups of `group`: in try group g trial i owns the
-        block of group * width doubles that starts after Philox counter
-        [i * group * width / 4, g, phase, 0] (Philox pre-increments its
-        counter), and try r reads the (r mod group)-th width-slice of it.
-        The tries asked for must lie in one group."""
-        g, j = divmod(first, group)
-        if j + rounds > group:
-            raise ValueError("tries must lie in one group")
-        blocks = group * width // 4
-        start, count = int(start), int(count)
-        target = start * blocks + (g << 64)
-        bg, gen, at = self._streams.get(phase, (None, None, 0))
-        if bg is None or target < at:
-            bg = np.random.Philox(key=self.seed, counter=[start * blocks, g, phase, 0])
-            gen = np.random.Generator(bg)
-        elif target > at:
-            bg.advance(target - at)
-        out = gen.random((count, group, width))[:, j: j + rounds]
-        self._streams[phase] = (bg, gen, target + count * blocks)
-        return out.transpose(1, 0, 2)
+    Tries come in groups of `group`: in try group g trial i owns the
+    block of group * width doubles that starts after Philox counter
+    [i * group * width / 4, g, phase, 0] (Philox pre-increments its
+    counter), and try r reads the (r mod group)-th width-slice of it.
+    The tries asked for must lie in one group."""
+    g, j = divmod(first, group)
+    if j + rounds > group:
+        raise ValueError("tries must lie in one group")
+    bg = np.random.Philox(key=seed, counter=[int(start) * group * width // 4, g, phase, 0])
+    out = np.random.Generator(bg).random((int(count), group, width))
+    return out[:, j: j + rounds].transpose(1, 0, 2)
 
 
 def _chunks(total):
@@ -170,12 +149,12 @@ def _chunks(total):
     return [(s, min(_CHUNK, total - s)) for s in range(0, total, _CHUNK)]
 
 
-def _normal_chunk(draws, phase, start, count, size):
+def _normal_chunk(seed, phase, start, count, size):
     """Standard normals, shape (count, size), for trials start..start+count-1.
 
     Box-Muller on one fixed-width block of uniforms per trial."""
     half = -(-size // 2)
-    u = draws.uniforms(phase, 0, 1, start, count, _width(2 * half))[0]
+    u = _uniforms(seed, phase, 0, 1, start, count, _width(2 * half))[0]
     radius = np.sqrt(-2.0 * np.log1p(-u[:, :half]))
     angle = 2.0 * np.pi * u[:, half: 2 * half]
     return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)[:, :size]
@@ -196,8 +175,6 @@ def in_gamma_k(lam, k, tol=DEFAULT_TOL):
 def in_gamma_tilde(lam, k, alpha, tol=DEFAULT_TOL):
     """True iff lam is in Gamma_{k-1} and alpha*sigma_{k-1} + sigma_k > tol*scale."""
     values = as_tuple(lam)
-    if alpha < 0:
-        raise DomainError("alpha must be nonnegative")
     return cone_contains(ConeSpec("tilde", len(values), k, alpha, tol), values)
 
 
@@ -251,6 +228,7 @@ _COARSE_BLEND = (1.0 - _LADDER[_COARSE, None], _LADDER[_COARSE, None])
 _FINE = np.arange(1, 8)        # level two: the 7 positions after level one's
 _LADDER_INSIDE = 0.999 * _LADDER  # a candidate's blend parameter is at most this
 _MAX_TRIES = 200
+_BOUNDARY_BIAS = 0.8  # share of a trial's tries mixed toward the boundary
 _TRY_GROUP = 8  # a trial's sampler tries are drawn in groups of this many
 
 
@@ -318,12 +296,12 @@ def _candidates(spec, u, mixed):
     return cand
 
 
-def _sample_rounds(spec, draw, boundary_bias, floor, max_tries=_MAX_TRIES):
+def _sample_rounds(spec, draw, boundary_bias, floor):
     """Masked rejection rounds for a batch of trials.
 
-    Round r makes try r of every trial still pending; a try is accepted when
-    its margin is >= the trial's floor, and a trial keeps its first
-    accepted try.  draw(r, rounds, rows) returns the uniforms of tries
+    Round r < _MAX_TRIES makes try r of every trial still pending; a try is
+    accepted when its margin is >= the trial's floor, and a trial keeps its
+    first accepted try.  draw(r, rounds, rows) returns the uniforms of tries
     r..r+rounds-1 of the given rows, shape (rounds, len(rows), >= 2n+3).
     Several rounds (of one try group) are evaluated in one pass when few
     trials are pending (_pass_rounds); the result is the same as one round
@@ -334,11 +312,11 @@ def _sample_rounds(spec, draw, boundary_bias, floor, max_tries=_MAX_TRIES):
     found = np.zeros(floor.size, dtype=bool)
     rows = np.arange(floor.size)
     r = 0
-    while r < max_tries and rows.size:
+    while r < _MAX_TRIES and rows.size:
         # without a margin floor most trials accept their first try, so
         # round 0 goes alone
         rounds = 1 if r == 0 and floor.max() <= spec.tol else min(
-            max_tries - r, _pass_rounds(rows.size), _TRY_GROUP - r % _TRY_GROUP)
+            _MAX_TRIES - r, _pass_rounds(rows.size), _TRY_GROUP - r % _TRY_GROUP)
         u = draw(r, rounds, rows)
         # the per-row bias and floor broadcast over the rounds
         cand = _candidates(spec, u.reshape(rounds * rows.size, -1),
@@ -354,10 +332,11 @@ def _sample_rounds(spec, draw, boundary_bias, floor, max_tries=_MAX_TRIES):
 
 
 # trials start..start+count-1 of one phase, for _sample
-_Part = namedtuple("_Part", "phase start count boundary_bias min_margin", defaults=(0.8, 0.0))
+_Part = namedtuple("_Part", "phase start count boundary_bias min_margin",
+                   defaults=(_BOUNDARY_BIAS, 0.0))
 
 
-def _sample(spec, draws, parts):
+def _sample(spec, seed, parts):
     """Cone points for the trials of several parts, drawn in the same
     masked rounds; returns one (points, found) pair per part.
 
@@ -376,8 +355,8 @@ def _sample(spec, draws, parts):
             sub = rows[(rows >= lo_row) & (rows < hi_row)] - lo_row
             if sub.size:
                 lo = sub[0]
-                u = draws.uniforms(part.phase, r, rounds, part.start + lo, sub[-1] - lo + 1,
-                                   width, _TRY_GROUP)
+                u = _uniforms(seed, part.phase, r, rounds, part.start + lo, sub[-1] - lo + 1,
+                              width, _TRY_GROUP)
                 out.append(u[:, sub - lo])
         return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
 
@@ -385,38 +364,36 @@ def _sample(spec, draws, parts):
     return [(points[lo:hi], found[lo:hi]) for lo, hi in zip(ends[:-1], ends[1:])]
 
 
-def _sample_one(spec, rng, boundary_bias=0.8, min_margin=0.0, max_tries=_MAX_TRIES):
+def _sample_one(spec, rng):
     """One cone point drawn from the generator rng (the scans' rounds, one
-    block of uniforms per try), or None after max_tries."""
+    block of uniforms per try), or None after _MAX_TRIES."""
     width = _width(2 * spec.n + 3)
     points, found = _sample_rounds(spec, lambda r, rounds, rows: rng.random((rounds, 1, width)),
-                                   np.array([boundary_bias]),
-                                   np.array([max(min_margin, spec.tol)]), max_tries)
+                                   np.array([_BOUNDARY_BIAS]), np.array([spec.tol]))
     return tuple(points[0].tolist()) if found[0] else None
 
 
-def sample_cone(spec, count, seed, boundary_bias=0.8, min_margin=0.0):
+def sample_cone(spec, count, seed, min_margin=0.0):
     """count verified cone points, deterministic in seed.
 
-    Magnitudes are log-uniform in [1e-2, 1e2]; a boundary_bias fraction of
-    draws is mixed toward a vector with one negative entry so that Gamma~_k
-    samples populate the sigma_k < 0 region.  Draws that exit the cone are
-    rejected; a trial that finds no point is replaced by the next trial
-    index after count, and SamplingError is raised once the empty trials
-    outnumber the points requested.  Point i is the i-th trial, in index
-    order, that found a point.
+    Magnitudes are log-uniform in [1e-2, 1e2]; 80% of the draws are mixed
+    toward a vector with one negative entry so that Gamma~_k samples
+    populate the sigma_k < 0 region.  Draws with a margin below
+    max(min_margin, spec.tol) are rejected; a trial that finds no point in
+    200 tries is replaced by the next trial index after count, and
+    SamplingError is raised once the empty trials outnumber the points
+    requested.  Point i is the i-th trial, in index order, that found one.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    draws = _Draws(seed)
     out = []
     failures = 0
     start = 0
     while len(out) < count:
         # at most the points still missing, so no trial past the last one needed is used
         m = min(count - len(out), _CHUNK)
-        [(points, found)] = _sample(spec, draws, [_Part(_PHASE_POINT, start, m, boundary_bias,
-                                                        min_margin)])
+        [(points, found)] = _sample(spec, seed, [_Part(_PHASE_POINT, start, m,
+                                                      min_margin=min_margin)])
         start += m
         misses = (~found).nonzero()[0]
         if failures + misses.size > count:
@@ -456,15 +433,14 @@ def segment_convexity_check(spec, trials, seed):
     (convexity of the cone makes it positive).  A trial the sampler finds
     no pair of points for is skipped.
     """
-    draws = _Draws(seed)
     worst = np.inf
     witness = None
     extra = None
     evaluated = 0
     t = (np.arange(1, 10) / 10.0)[:, None]
     for start, m in _chunks(trials):
-        (lam, found), (mu, found_mu) = _sample(spec, draws, [_Part(_PHASE_POINT, start, m),
-                                                             _Part(_PHASE_OTHER, start, m)])
+        (lam, found), (mu, found_mu) = _sample(spec, seed, [_Part(_PHASE_POINT, start, m),
+                                                            _Part(_PHASE_OTHER, start, m)])
         both = found & found_mu
         lam, mu = lam[both], mu[both]
         evaluated += lam.shape[0]
@@ -500,12 +476,11 @@ def _grad_scale(op, points):
 def ellipticity_scan(op, spec, trials, seed, tol=DEFAULT_TOL):
     """Worst normalized min_i Q^{ii} over cone samples; a trial the sampler
     finds no point for is skipped."""
-    draws = _Draws(seed)
     worst = np.inf
     witness = None
     evaluated = 0
     for start, m in _chunks(trials):
-        [(lam, found)] = _sample(spec, draws, [_Part(_PHASE_POINT, start, m)])
+        [(lam, found)] = _sample(spec, seed, [_Part(_PHASE_POINT, start, m)])
         lam = lam[found]
         evaluated += lam.shape[0]
         if not lam.shape[0]:

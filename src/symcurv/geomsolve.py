@@ -580,13 +580,13 @@ def newton_solve(initial, op, psi, opts=None):
 # ---------------------------------------------------------------------------
 # barriers, homotopy, monitoring
 
-def _direction_grid(n_lon=16, n_lat=8):
-    g = SphereGrid(n_lon, n_lat)
+def _direction_grid():
+    g = SphereGrid(16, 8)
     r_hat, _, _ = g.unit_vectors()
     return r_hat.reshape(-1, 3)
 
 
-def barrier_check(psi, op, r1, r2=None, n_rho=33, tol=1e-12):
+def barrier_check(psi, op, r1, r2=None, tol=1e-12):
     """Barrier margins for psi against the operator's round comparison data.
 
     Annulus mode (r2 given, r1 < r2): checks psi(X, X/|X|) >= Q(1,..,1)/r1^k
@@ -622,7 +622,7 @@ def barrier_check(psi, op, r1, r2=None, n_rho=33, tol=1e-12):
         # radial monotonicity: centered differences of rho^k psi at fixed nu,
         # one psi call per normal over the whole (rho, direction) grid; rho^k
         # by scalar pow (numpy's array pow differs in the last bit for k = 3)
-        rhos = np.linspace(r1, r2, n_rho)
+        rhos = np.linspace(r1, r2, 33)
         X = rhos[:, None, None] * dirs
         rho_k = np.array([r**op.k for r in rhos])[:, None]
         nus = np.concatenate([dirs, np.eye(3), -np.eye(3)], axis=0)
@@ -685,14 +685,14 @@ class HomotopyPath:
 
 
 def homotopy_solve(op, psi, grid, r1, r2, steps=20, eps=1e-2, opts=None,
-                   check_barrier=True, min_step=1e-4):
+                   check_barrier=True):
     """Continuation from the round solution of the eps-modified radial
     problem to psi, with Newton at each parameter value.
 
     The comparison datum is Q(1,..,1) * [(1+eps)/rho^k - eps]; its round
     solution (radius from a bracketed scalar solve) seeds t = 0, and the
     parameter advances with adaptive bisection of the step (halving on a
-    failed step, floor min_step; re-expanding after successes).  Newton
+    failed step, down to 1e-4; re-expanding after successes).  Newton
     starts from the secant prediction through the last two accepted
     surfaces, rho_t + (t_next - t)/(t - t_prev) (rho_t - rho_prev) (from
     the last accepted surface while only one is known; Allgower & Georg,
@@ -718,8 +718,7 @@ def homotopy_solve(op, psi, grid, r1, r2, steps=20, eps=1e-2, opts=None,
         return float(q_eval(op, kappa)) - probe.datum(r)
 
     r0 = _bracketed_root(round_residual, 1e-3, 1e3)
-    surface, diag = newton_solve(RadialSurfaceField.sphere(grid, r0), op,
-                                 _BlendedPsi(psi, op, 0.0, eps), opts)
+    surface, diag = newton_solve(RadialSurfaceField.sphere(grid, r0), op, probe, opts)
     ts, surfaces, records = [0.0], [surface], [curvature_monitor(surface)]
     t = 0.0
     base_dt = 1.0 / steps
@@ -732,9 +731,9 @@ def homotopy_solve(op, psi, grid, r1, r2, steps=20, eps=1e-2, opts=None,
         step = _continuation_step(rho, grid, op, _BlendedPsi(psi, op, t_next, eps), opts)
         if step is None:
             dt *= 0.5
-            if dt < min_step:
+            if dt < 1e-4:
                 raise ContinuationError(
-                    f"continuation step underflow below {min_step} at t={t:.6f}",
+                    f"continuation step underflow below 0.0001 at t={t:.6f}",
                     last_t=t,
                     path=HomotopyPath(ts, surfaces, records, diag),
                 )
@@ -760,8 +759,8 @@ def _continuation_step(rho, grid, op, psi, opts):
         return None
 
 
-def _bracketed_root(f, lo, hi, samples=121):
-    grid = np.geomspace(lo, hi, samples)
+def _bracketed_root(f, lo, hi):
+    grid = np.geomspace(lo, hi, 121)
     vals = [f(r) for r in grid]
     for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
         if fa == 0.0:
@@ -771,7 +770,7 @@ def _bracketed_root(f, lo, hi, samples=121):
     raise DomainError("no round solution of the comparison problem in the bracket")
 
 
-def curvature_monitor(surface, z=0.0, moments=(2, 6, 10)):
+def curvature_monitor(surface, z=0.0):
     """Diagnostics of one surface: max kappa_1, min support, power sums
     P_m = sum_j kappa_j^m (max over nodes) and max of log P_m - m*z*log u."""
     geo = surface_geometry(surface)
@@ -786,7 +785,7 @@ def curvature_monitor(surface, z=0.0, moments=(2, 6, 10)):
         "z": float(z),
     }
     log_u = np.log(geo.support)
-    for m in moments:
+    for m in (2, 6, 10):
         p_m = (geo.kappa**m).sum(axis=-1)
         record["p_moments"][m] = float(np.max(p_m))
         record["test_function"][m] = float(np.max(np.log(p_m) - m * z * log_u))

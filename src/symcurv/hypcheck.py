@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, SymcurvError
 from .combop import (OperatorSpec, PolyCoeffs, _as_floats, _check_witness, alpha_prime,
-                     lower_operator)
+                     lower_operator, profile_roots)
 
 __all__ = [
     "ConditionCReport",
@@ -128,9 +128,9 @@ class RealRootedResult:
     witness: tuple = None    # when not: a conjugate pair of complex roots
 
 
-def _complex_pair(raw):
-    worst = raw[np.argmax(np.abs(raw.imag))]
-    return complex(worst), complex(worst.conjugate())
+def _complex_pair(roots):
+    worst = max(roots, key=lambda z: abs(z.imag))
+    return complex(worst.real, abs(worst.imag)), complex(worst.real, -abs(worst.imag))
 
 
 def real_rooted(p, mode="exact"):
@@ -140,8 +140,8 @@ def real_rooted(p, mode="exact"):
     coefficients gives V(-inf) - V(+inf) distinct real roots and it ends in
     gcd(p, p'), so p has deg p - deg gcd distinct roots; p is all-real iff
     the counts agree (multiple real roots pass).  Roots, with multiplicity,
-    are numpy's per square-free factor.  Numeric mode: companion matrix
-    roots, real iff |imag| <= 1e-8 * (1 + max|coeff|); it is blind to
+    are numpy's per square-free factor.  Numeric mode: combop.profile_roots,
+    real iff every root snaps to the real axis; it is blind to
     repeated roots, which split into clusters of width ~eps^(1/multiplicity)
     (2(1 + t)^3 comes out complex), and it raises DomainError on
     coefficients beyond float range.  Degree 0 is vacuously all-real.
@@ -151,14 +151,11 @@ def real_rooted(p, mode="exact"):
         raise DomainError("the zero polynomial is not accepted")
     if mode == "numeric":
         cf = _trim(_as_floats(coeffs))
-        if len(cf) <= 1:
-            return RealRootedResult(True, mode, roots=())
-        snap = 1e-8 * (1.0 + max(abs(c) for c in cf))
-        raw = np.roots(list(reversed(cf)))
-        bad = raw[np.abs(raw.imag) > snap]
-        if bad.size:
+        roots = profile_roots(cf) if len(cf) > 1 else []
+        bad = [r for r in roots if isinstance(r, complex)]
+        if bad:
             return RealRootedResult(False, mode, witness=_complex_pair(bad))
-        return RealRootedResult(True, mode, roots=tuple(sorted(float(r) for r in raw.real)))
+        return RealRootedResult(True, mode, roots=tuple(roots))
     if mode != "exact":
         raise DomainError(f"unknown mode {mode!r}")
     f = _integer_poly(coeffs)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -170,6 +171,16 @@ def test_scan_requires_domain():
     fld = concave.ScalarField("free", 2, lambda x: x[0])
     with pytest.raises(DomainError):
         concave.concavity_scan(fld, 10, seed=0)
+
+
+@pytest.mark.parametrize("fn", [lambda x: 1.0, lambda x: math.sqrt(x[0] * x[1])],
+                         ids=["returns-float", "math-on-jet"])
+def test_scan_names_the_jet_contract(fn):
+    # the Hessian trials run fn on Taylor jets: a constant float and a math
+    # function break that contract, and the error says so
+    fld = concave.ScalarField("c", 2, fn, domain=ConeSpec("garding", 2, 2))
+    with pytest.raises(DomainError, match=r"only \+, -, \*, / and real powers"):
+        concave.concavity_scan(fld, 20, seed=0)
 
 
 def _sum_type_inputs(n, k, alpha):

@@ -44,21 +44,20 @@ def test_sample_cone_prefix_independent_of_count(spec, seed, n1, n2):
 @given(seed=seed_st, start=st.integers(0, 3 * CHUNK), count=st.integers(1, 40))
 def test_chunk_draws_depend_on_trial_index_only(seed, start, count):
     spec = ConeSpec("tilde", 4, 3, 0.5)
-    draws = cones._Draws(seed)
-    [(whole, found)] = cones._sample(spec, draws, [cones._Part(cones._PHASE_POINT, 0,
-                                                                start + count)])
-    [(part, found_part)] = cones._sample(spec, cones._Draws(seed),
+    [(whole, found)] = cones._sample(spec, seed, [cones._Part(cones._PHASE_POINT, 0,
+                                                               start + count)])
+    [(part, found_part)] = cones._sample(spec, seed,
                                          [cones._Part(cones._PHASE_POINT, start, count)])
     assert np.array_equal(whole[start:], part) and np.array_equal(found[start:], found_part)
-    # the same draws again, from a generator moved forward (or rebuilt), and
-    # next to the trials of another phase sampled in the same rounds
+    # the same draws again, next to the trials of another phase sampled in
+    # the same rounds
     [_, (again, _)] = cones._sample(
-        spec, draws, [cones._Part(cones._PHASE_HESSIAN, 0, 3, 0.5, 0.01),
-                      cones._Part(cones._PHASE_POINT, start, count)])
+        spec, seed, [cones._Part(cones._PHASE_HESSIAN, 0, 3, 0.5, 0.01),
+                     cones._Part(cones._PHASE_POINT, start, count)])
     assert np.array_equal(again, part)
-    normals = cones._normal_chunk(draws, cones._PHASE_NORMAL, 0, start + count, 7)
+    normals = cones._normal_chunk(seed, cones._PHASE_NORMAL, 0, start + count, 7)
     assert np.array_equal(normals[start:],
-                          cones._normal_chunk(draws, cones._PHASE_NORMAL, start, count, 7))
+                          cones._normal_chunk(seed, cones._PHASE_NORMAL, start, count, 7))
 
 
 @SLOW
@@ -69,9 +68,7 @@ def test_draws_follow_the_counter_layout(seed, phase, first, rounds, start, coun
     # in try group g, trial i's block of 8 * width doubles follows Philox
     # counter [i * 8 * width / 4, g, phase, 0]; try r reads its slice r mod 8
     rounds = min(rounds, 8 - first % 8)
-    draws = cones._Draws(seed)
-    draws.uniforms(phase, first, 1, start + count, 1, width, 8)  # leave the generator elsewhere
-    got = draws.uniforms(phase, first, rounds, start, count, width, 8)
+    got = cones._uniforms(seed, phase, first, rounds, start, count, width, 8)
     bg = np.random.Philox(key=seed, counter=[start * 2 * width, first // 8, phase, 0])
     block = np.random.Generator(bg).random((count, 8, width))
     for j in range(rounds):
