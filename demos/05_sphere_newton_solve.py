@@ -17,7 +17,8 @@ grid = gs.SphereGrid(32, 16)
 psi = gs.PsiSpec("constant", c=float(q_eval(op, (0.5, 0.5))))
 initial = gs.perturbed_sphere(grid, 2.0, 0.05, seed=42)
 surf, diag = gs.newton_solve(initial, op, psi)
-print(f"  converged in {diag.n_iter - 1} iterations")
+print(f"  converged in {diag.n_iter - 1} iterations, {sum(diag.factored)} of them with a "
+      "fresh LU factor (the rest are chord steps)")
 print("  residual history:", ["%.1e" % it[0] for it in diag.iterations])
 print(f"  max |rho - 2| = {np.abs(surf.rho - 2.0).max():.2e}")
 
@@ -32,7 +33,8 @@ for n_lon, n_lat in [(16, 8), (32, 16), (64, 32)]:
     r_hat, _, _ = g.unit_vectors()
     exact = gs.ellipsoid_radial_graph(r_hat, axes)
     errs.append(np.abs(solved.rho - exact).max())
-    print(f"  {n_lon:3d}x{n_lat:<3d} grid: {d.n_iter - 1} iterations, "
+    print(f"  {n_lon:3d}x{n_lat:<3d} grid: {d.n_iter - 1} iterations "
+          f"({sum(d.factored)} factored), "
           f"L-inf(rho) error {errs[-1]:.3e}")
 print("  refinement ratios:", ", ".join(f"{a / b:.2f}" for a, b in zip(errs, errs[1:])),
       "(second order = 4)")

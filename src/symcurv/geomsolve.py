@@ -28,7 +28,9 @@ J = sum_q diag(df/dq) D_q, with the six partials from one complex-step
 evaluation of f (Squire and Trapp 1998).  A psi free of X adds a
 translation gauge (newton_solve).  SuperLU factors J under the
 minimum-degree ordering on A + A^T, the fill-reducing ordering for a
-structurally symmetric pattern such as the stencil's.  monitor_path(path)
+structurally symmetric pattern such as the stencil's; Newton reuses a
+factor for chord steps while the residual contracts, and the continuation
+hands it from one step to the next.  monitor_path(path)
 summarises the records homotopy_solve kept; write_solution_csv returns
 the residual it wrote.  The CSV writers make each file in one pass, with
 the bytes csv.writer would write.
@@ -108,17 +110,33 @@ class SphereGrid:
     def d_phi(self):
         return 2.0 * np.pi / self.n_lon
 
+    @functools.lru_cache(maxsize=None)
     def unit_vectors(self):
-        """r_hat, theta_hat, phi_hat with shape (n_lat, n_lon, 3)."""
-        th = self.theta[:, None]
+        """r_hat, theta_hat, phi_hat with shape (n_lat, n_lon, 3), built once
+        per grid (read-only)."""
+        st, ct, _ = _trig(self)
         ph = self.phi[None, :]
-        st, ct = np.sin(th), np.cos(th)
         sp, cp = np.sin(ph), np.cos(ph)
         r_hat = np.stack(np.broadcast_arrays(st * cp, st * sp, ct * np.ones_like(ph)), axis=-1)
         t_hat = np.stack(np.broadcast_arrays(ct * cp, ct * sp, -st * np.ones_like(ph)), axis=-1)
-        p_hat = np.stack(np.broadcast_arrays(-sp * np.ones_like(th), cp * np.ones_like(th),
+        p_hat = np.stack(np.broadcast_arrays(-sp * np.ones_like(st), cp * np.ones_like(st),
                                              np.zeros((self.n_lat, self.n_lon))), axis=-1)
-        return r_hat, t_hat, p_hat
+        return _read_only(r_hat, t_hat, p_hat)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
+def _trig(grid):
+    """sin, cos and cot of the colatitudes, shape (n_lat, 1), once per grid
+    (read-only)."""
+    th = grid.theta[:, None]
+    st, ct = np.sin(th), np.cos(th)
+    return _read_only(st, ct, ct / st)
 
 
 @dataclass
@@ -199,9 +217,7 @@ def _geometry(q, grid):
     (s11, s12, s22) in the orthonormal tangent frame that the Cholesky factor
     of g gives (e_1 along d/dtheta), and the support <X, nu>."""
     rho, r_t, r_p, r_tt, r_pp, r_pt = q
-    th = grid.theta[:, None]
-    st, ct = np.sin(th), np.cos(th)
-    cot = ct / st
+    st, ct, cot = _trig(grid)
 
     grad2 = r_t**2 + (r_p / st) ** 2
     w2 = rho**2 + grad2
@@ -391,10 +407,11 @@ class NewtonDiagnostics:
     tol: float = None
     mu: tuple = ()   # translation-gauge multipliers of the last iterate (empty: no gauge)
     # one entry per Newton step (attempted steps included):
-    residual_evals: list = field(default_factory=list)  # 6 complex-step surfaces + candidates
+    residual_evals: list = field(default_factory=list)  # candidates + 6 complex-step surfaces
     jacobian_s: list = field(default_factory=list)      # Jacobian assembly
-    linsolve_s: list = field(default_factory=list)      # sparse LU factor and solve
-    line_search_s: list = field(default_factory=list)   # backtracking line search
+    linsolve_s: list = field(default_factory=list)      # sparse LU factor and solves
+    line_search_s: list = field(default_factory=list)   # candidate evaluations
+    factored: list = field(default_factory=list)        # built and factored a Jacobian
 
     @property
     def n_iter(self):
@@ -402,6 +419,15 @@ class NewtonDiagnostics:
 
 
 _CS_STEP = 1e-30   # complex step: f'(x) = Im f(x + ih) / h, exact to rounding
+_CHORD_THETA = 0.1  # a chord step must cut the residual below this fraction
+
+
+class _Handoff:
+    """What one Newton solve of a continuation hands to the next: the LU
+    factor in hand (lu) and the geometry of the accepted surface."""
+
+    lu = None
+    geometry = None
 
 
 @dataclass(frozen=True)
@@ -483,7 +509,7 @@ def _position_free(psi):
         psi.family != "manufactured-ellipsoid" and psi.p == 0))
 
 
-def newton_solve(initial, op, psi, opts=None):
+def newton_solve(initial, op, psi, opts=None, _handoff=None):
     """Damped Newton for Q(kappa) = psi on the grid of the initial surface.
 
     When psi does not depend on X, the three translations are a near-kernel
@@ -493,9 +519,20 @@ def newton_solve(initial, op, psi, opts=None):
     Numerical Continuation Methods, 1990), and converges only with
     |mu| <= tol.  Backtracking halves the step until the sup-norm of the
     (bordered) residual decreases and the iterate stays admissible
-    (positive rho, curvatures in the cone).  Raises ConvergenceError when
-    no acceptable step exists or the iteration budget is exhausted; the
-    exception carries the last iterate and diagnostics.
+    (positive rho, curvatures in the cone).
+
+    After a step that cuts the residual below theta = _CHORD_THETA = 0.1
+    times its value, the next step is first tried as a chord step with the
+    LU factor in hand (one solve, one residual evaluation; Deuflhard, Newton
+    Methods for Nonlinear Problems, 2004).  It is accepted if it is
+    positive, admissible and cuts the residual below theta times its value
+    again; otherwise Newton factors a fresh Jacobian and takes the damped
+    step from the same iterate.  homotopy_solve hands the factor in hand
+    at convergence to its next Newton solve, which tries it first.
+
+    Raises ConvergenceError when no acceptable step exists or the iteration
+    budget is exhausted; the exception carries the last iterate and
+    diagnostics.
 
     Returns (surface, NewtonDiagnostics).
     """
@@ -506,7 +543,8 @@ def newton_solve(initial, op, psi, opts=None):
     pat = _jacobian_pattern(grid, _position_free(psi))
     rho = initial.rho.copy()
     mu = np.zeros(pat.U.shape[1])
-    res, (X, nu, shape, _) = _residual_raw(rho, grid, op, psi)
+    res, geo = _residual_raw(rho, grid, op, psi)
+    X, nu, shape, _ = geo
     bad = _inadmissible_nodes(op, _principal(shape))
     if bad:
         raise ConeExitError("initial surface is not admissible", nodes=bad)
@@ -517,59 +555,85 @@ def newton_solve(initial, op, psi, opts=None):
     def bordered(rho, res, mu):
         return np.concatenate([res.ravel() + pat.U @ mu, rho.ravel() @ pat.C])
 
+    def candidate(step, scale, bound):
+        """(rho, mu, bordered residual, its norm, geometry) of the iterate
+        rho + scale * step, or None unless it is positive, admissible and
+        its norm is finite and below bound."""
+        cand = rho + scale * step[:rho.size].reshape(grid.shape)
+        if not np.all(cand > 0):
+            return None
+        diag.residual_evals[-1] += 1
+        cand_res, cand_geo = _residual_raw(cand, grid, op, psi)
+        cand_mu = mu + scale * step[rho.size:]
+        cand_full = bordered(cand, cand_res, cand_mu)
+        cand_norm = float(np.max(np.abs(cand_full)))
+        if (np.isfinite(cand_norm) and cand_norm < bound
+                and not _inadmissible_nodes(op, _principal(cand_geo[2]))):
+            return cand, cand_mu, cand_full, cand_norm, cand_geo
+        return None
+
     full = bordered(rho, res, mu)
     norm = float(np.max(np.abs(full)))
+    lu = _handoff.lu if _handoff is not None else None
+    contracted = lu is not None
     for _ in range(opts.max_iter):
         diag.iterations.append((norm, 0.0, 0))
         if norm <= tol and np.all(np.abs(mu) <= tol):
             diag.converged = True
+            if _handoff is not None:
+                _handoff.lu, _handoff.geometry = lu, geo
             return RadialSurfaceField(rho, grid), diag
         if norm <= tol:   # F = -U mu: psi is obstructed, no solution up to translation
             raise ConvergenceError(f"gauge multiplier |mu| = {np.max(np.abs(mu)):.3e} > tol",
                                    last_surface=RadialSurfaceField(rho, grid), diagnostics=diag)
-        t0 = perf_counter()
-        jac = _jacobian(rho, grid, op, psi, pat)
-        t1 = perf_counter()
-        diag.jacobian_s.append(t1 - t0)
-        diag.residual_evals.append(6)
-        try:
-            lu = scipy.sparse.linalg.splu(jac, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
-            diag.linsolve_s.append(perf_counter() - t1)
-            diag.line_search_s.append(0.0)
-            raise ConvergenceError(f"singular Jacobian: {exc}",
-                                   last_surface=RadialSurfaceField(rho, grid),
-                                   diagnostics=diag) from None
-        step = lu.solve(-full)
-        step, step_mu = step[:rho.size].reshape(grid.shape), step[rho.size:]
-        t2 = perf_counter()
-        diag.linsolve_s.append(t2 - t1)
-        scale = 1.0
-        accepted = False
-        for halving in range(opts.max_halvings + 1):
-            cand = rho + scale * step
-            if np.all(cand > 0):
-                diag.residual_evals[-1] += 1
-                cand_res, (_, _, cand_shape, _) = _residual_raw(cand, grid, op, psi)
-                cand_mu = mu + scale * step_mu
-                cand_full = bordered(cand, cand_res, cand_mu)
-                cand_norm = float(np.max(np.abs(cand_full)))
-                if (np.isfinite(cand_norm) and cand_norm < norm
-                        and not _inadmissible_nodes(op, _principal(cand_shape))):
-                    rho, mu, full, norm = cand, cand_mu, cand_full, cand_norm
-                    diag.iterations[-1] = (norm, scale, halving)
-                    diag.mu = tuple(mu.tolist())
-                    accepted = True
+        diag.residual_evals.append(0)
+        jacobian_s = linsolve_s = line_search_s = 0.0
+        accepted, scale, halving = None, 1.0, 0
+        if contracted:   # chord step with the factor in hand
+            t0 = perf_counter()
+            step = lu.solve(-full)
+            t1 = perf_counter()
+            accepted = candidate(step, 1.0, _CHORD_THETA * norm)
+            linsolve_s, line_search_s = t1 - t0, perf_counter() - t1
+        diag.factored.append(accepted is None)
+        if accepted is None:
+            t0 = perf_counter()
+            jac = _jacobian(rho, grid, op, psi, pat)
+            t1 = perf_counter()
+            jacobian_s = t1 - t0
+            diag.residual_evals[-1] += 6
+            try:
+                lu = scipy.sparse.linalg.splu(jac, permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
+                diag.jacobian_s.append(jacobian_s)
+                diag.linsolve_s.append(linsolve_s + perf_counter() - t1)
+                diag.line_search_s.append(line_search_s)
+                raise ConvergenceError(f"singular Jacobian: {exc}",
+                                       last_surface=RadialSurfaceField(rho, grid),
+                                       diagnostics=diag) from None
+            step = lu.solve(-full)
+            t2 = perf_counter()
+            linsolve_s += t2 - t1
+            for halving in range(opts.max_halvings + 1):
+                accepted = candidate(step, scale, norm)
+                if accepted is not None:
                     break
-            scale *= 0.5
-        diag.line_search_s.append(perf_counter() - t2)
-        if not accepted:
+                scale *= 0.5
+            line_search_s += perf_counter() - t2
+        diag.jacobian_s.append(jacobian_s)
+        diag.linsolve_s.append(linsolve_s)
+        diag.line_search_s.append(line_search_s)
+        if accepted is None:
             raise ConvergenceError(
                 f"line search failed after {opts.max_halvings} halvings "
                 f"(residual {norm:.3e})",
                 last_surface=RadialSurfaceField(rho, grid),
                 diagnostics=diag,
             )
+        contracted = accepted[3] < _CHORD_THETA * norm
+        rho, mu, full, norm, geo = accepted
+        diag.iterations[-1] = (norm, scale, halving)
+        diag.mu = tuple(mu.tolist())
     raise ConvergenceError(
         f"no convergence in {opts.max_iter} iterations (residual {norm:.3e}, tol {tol:.3e})",
         last_surface=RadialSurfaceField(rho, grid),
@@ -718,8 +782,9 @@ def homotopy_solve(op, psi, grid, r1, r2, steps=20, eps=1e-2, opts=None,
         return float(q_eval(op, kappa)) - probe.datum(r)
 
     r0 = _bracketed_root(round_residual, 1e-3, 1e3)
-    surface, diag = newton_solve(RadialSurfaceField.sphere(grid, r0), op, probe, opts)
-    ts, surfaces, records = [0.0], [surface], [curvature_monitor(surface)]
+    handoff = _Handoff()
+    surface, diag = newton_solve(RadialSurfaceField.sphere(grid, r0), op, probe, opts, handoff)
+    ts, surfaces, records = [0.0], [surface], [_monitor_record(handoff.geometry)]
     t = 0.0
     base_dt = 1.0 / steps
     dt = base_dt
@@ -728,7 +793,8 @@ def homotopy_solve(op, psi, grid, r1, r2, steps=20, eps=1e-2, opts=None,
         rho = surface.rho
         if len(ts) > 1:
             rho = rho + (t_next - t) / (t - ts[-2]) * (rho - surfaces[-2].rho)
-        step = _continuation_step(rho, grid, op, _BlendedPsi(psi, op, t_next, eps), opts)
+        step = _continuation_step(rho, grid, op, _BlendedPsi(psi, op, t_next, eps), opts,
+                                  handoff)
         if step is None:
             dt *= 0.5
             if dt < 1e-4:
@@ -742,19 +808,20 @@ def homotopy_solve(op, psi, grid, r1, r2, steps=20, eps=1e-2, opts=None,
         t = t_next
         ts.append(t)
         surfaces.append(surface)
-        records.append(curvature_monitor(surface))
+        records.append(_monitor_record(handoff.geometry))
         dt = min(base_dt, dt * 2.0)
     return HomotopyPath(ts=ts, surfaces=surfaces, records=records, final_diagnostics=diag)
 
 
-def _continuation_step(rho, grid, op, psi, opts):
+def _continuation_step(rho, grid, op, psi, opts, handoff):
     """Newton's (surface, diagnostics) from the start rho, or None when the
     step fails: rho not positive everywhere, not admissible, or Newton not
-    converging."""
+    converging.  Newton first tries handoff's factor, and on success leaves
+    its own factor and accepted geometry there."""
     if not np.all(rho > 0):
         return None
     try:
-        return newton_solve(RadialSurfaceField(rho, grid), op, psi, opts)
+        return newton_solve(RadialSurfaceField(rho, grid), op, psi, opts, handoff)
     except (ConeExitError, ConvergenceError):
         return None
 
@@ -773,20 +840,25 @@ def _bracketed_root(f, lo, hi):
 def curvature_monitor(surface, z=0.0):
     """Diagnostics of one surface: max kappa_1, min support, power sums
     P_m = sum_j kappa_j^m (max over nodes) and max of log P_m - m*z*log u."""
-    geo = surface_geometry(surface)
-    kappa1 = float(np.max(geo.kappa[..., 0]))
-    support_min = float(np.min(geo.support))
+    return _monitor_record(_geometry(_derivatives(surface.rho, surface.grid), surface.grid), z)
+
+
+def _monitor_record(geometry, z=0.0):
+    """curvature_monitor's record from the geometry (X, nu, shape operator,
+    support) that _geometry gave for the surface."""
+    _, _, shape, support = geometry
+    kappa = _principal(shape)
     record = {
-        "max_kappa1": kappa1,
-        "min_support": support_min,
-        "is_convex": bool(np.all(geo.kappa[..., 1] > 0)),
+        "max_kappa1": float(np.max(kappa[..., 0])),
+        "min_support": float(np.min(support)),
+        "is_convex": bool(np.all(kappa[..., 1] > 0)),
         "p_moments": {},
         "test_function": {},
         "z": float(z),
     }
-    log_u = np.log(geo.support)
+    log_u = np.log(support)
     for m in (2, 6, 10):
-        p_m = (geo.kappa**m).sum(axis=-1)
+        p_m = (kappa**m).sum(axis=-1)
         record["p_moments"][m] = float(np.max(p_m))
         record["test_function"][m] = float(np.max(np.log(p_m) - m * z * log_u))
     return record
@@ -809,13 +881,29 @@ def monitor_path(path):
 # ---------------------------------------------------------------------------
 # CSV export (repr() of Python floats round-trips IEEE doubles exactly)
 
+def _formatted(columns):
+    """Each column's cells as csv.writer formats them: repr of a float, str of
+    anything else, each ndarray converted once; a tuple holds cells already
+    formatted."""
+    return [col if isinstance(col, tuple) else
+            map(repr if col.dtype.kind == "f" else str, col.tolist()) for col in columns]
+
+
 def _write_csv(path, header, columns):
-    """Write a CSV in one pass, byte for byte as csv.writer writes repr(float)
-    and str(other) cells that need no quoting: each column (an ndarray)
-    converted once, cells joined by "," and rows ended by "\r\n"."""
-    cells = [map(repr if col.dtype.kind == "f" else str, col.tolist()) for col in columns]
+    """Write a CSV in one pass, byte for byte as csv.writer writes cells that
+    need no quoting: the _formatted columns joined by "," and rows ended by
+    "\r\n"."""
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\r\n")
+        fh.write("\r\n".join([",".join(header), *map(",".join, zip(*_formatted(columns)))])
+                 + "\r\n")
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_cells(grid):
+    """Each node's lon_index,lat_index,phi,theta cells, joined, once per grid."""
+    lat, lon = np.indices(grid.shape)
+    return tuple(map(",".join, zip(*_formatted(
+        [lon.ravel(), lat.ravel(), grid.phi[lon].ravel(), grid.theta[lat].ravel()]))))
 
 
 def write_solution_csv(path, surface, op, psi):
@@ -824,12 +912,10 @@ def write_solution_csv(path, surface, op, psi):
     grid = surface.grid
     res, (_, _, shape, support) = _residual_raw(surface.rho, grid, op, psi)
     kappa = _principal(shape)
-    lat, lon = np.indices(grid.shape)
     _write_csv(path, ["lon_index", "lat_index", "phi", "theta", "rho",
                       "kappa1", "kappa2", "support", "residual"],
-               [lon.ravel(), lat.ravel(), grid.phi[lon].ravel(), grid.theta[lat].ravel(),
-                surface.rho.ravel(), kappa[..., 0].ravel(), kappa[..., 1].ravel(),
-                support.ravel(), res.ravel()])
+               [_grid_cells(grid), surface.rho.ravel(), kappa[..., 0].ravel(),
+                kappa[..., 1].ravel(), support.ravel(), res.ravel()])
     return res
 
 

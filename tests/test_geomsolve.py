@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -30,6 +32,21 @@ def test_surface_validation():
         gs.RadialSurfaceField(np.zeros(g.shape), g)
     with pytest.raises(DomainError):
         gs.RadialSurfaceField(np.ones((3, 3)), g)
+
+
+def test_grid_constants_are_cached_read_only():
+    g = gs.SphereGrid(16, 8)
+    assert g.unit_vectors() is gs.SphereGrid(16, 8).unit_vectors()
+    st, ct = np.sin(g.theta)[:, None], np.cos(g.theta)[:, None]
+    sp, cp = np.sin(g.phi), np.cos(g.phi)
+    want = [(st * cp, st * sp, ct + 0 * sp), (ct * cp, ct * sp, -st + 0 * sp),
+            (-sp + 0 * st, cp + 0 * st, 0 * st * sp)]
+    for got, parts in zip(g.unit_vectors(), want):
+        assert np.array_equal(got, np.stack(parts, axis=-1))
+    assert all(np.array_equal(a, b) for a, b in zip(gs._trig(g), (st, ct, ct / st)))
+    for a in (*g.unit_vectors(), *gs._trig(g)):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_sphere_geometry_exact():
@@ -348,31 +365,93 @@ def test_newton_step_solves_the_linear_system_at_128x64(monkeypatch):
     assert np.max(np.abs(r) / (abs(jac) @ np.abs(step) + np.abs(F))) <= 64 * eps
 
 
+def _stale_handoff(grid, psi):
+    """A handoff holding the LU factor of the Jacobian at another start."""
+    other = gs.perturbed_sphere(grid, 2.5, 0.05, seed=1)
+    jac = gs._jacobian(other.rho, grid, OP, psi, gs._jacobian_pattern(grid, True))
+    handoff = gs._Handoff()
+    handoff.lu = scipy.sparse.linalg.splu(jac, permc_spec="MMD_AT_PLUS_A")
+    return handoff
+
+
+def _bordered_norm(surface, psi):
+    """Sup norm of Newton's bordered residual at surface with mu = 0."""
+    res = gs._residual_raw(surface.rho, surface.grid, OP, psi)[0]
+    C = gs._jacobian_pattern(surface.grid, True).C
+    return float(np.max(np.abs(np.concatenate([res.ravel(), surface.rho.ravel() @ C]))))
+
+
 def test_newton_telemetry_adds_up(monkeypatch):
+    # a plain solve, and one handed a stale factor whose chord step fails
     g = gs.SphereGrid(16, 8)
-    surfaces = []
-    raw = gs._pointwise_residual
-
-    def counting(q, grid, op, psi):
-        surfaces.append(q[0].size // (grid.n_lat * grid.n_lon))
-        return raw(q, grid, op, psi)
-
-    monkeypatch.setattr(gs, "_pointwise_residual", counting)
+    psi = gs.PsiSpec("constant", c=1.25)
     initial = gs.perturbed_sphere(g, 2.0, 0.05, seed=7)
-    _, diag = gs.newton_solve(initial, OP, gs.PsiSpec("constant", c=1.25))
-    steps = diag.n_iter - 1
-    assert steps > 0
-    for log in (diag.residual_evals, diag.jacobian_s, diag.linsolve_s, diag.line_search_s):
-        assert len(log) == steps
-        assert all(x >= 0 for x in log)
-    # the initial residual, then per step one call on the Jacobian's 6
-    # complex-step surfaces and one per line-search candidate (every
-    # candidate here stays positive)
-    want = [1]
-    for evals, (_, _, halvings) in zip(diag.residual_evals, diag.iterations):
-        assert evals == 6 + halvings + 1
-        want += [6] + [1] * (halvings + 1)
-    assert surfaces == want
+    raw = gs._pointwise_residual
+    for stale in (False, True):
+        handoff = _stale_handoff(g, psi) if stale else None
+        norms = [_bordered_norm(initial, psi)]
+        surfaces = []
+
+        def counting(q, grid, op, psi):
+            surfaces.append(q[0].size // (grid.n_lat * grid.n_lon))
+            return raw(q, grid, op, psi)
+
+        monkeypatch.setattr(gs, "_pointwise_residual", counting)
+        _, diag = gs.newton_solve(initial, OP, psi, None, handoff)
+        monkeypatch.setattr(gs, "_pointwise_residual", raw)
+        steps = diag.n_iter - 1
+        assert steps > 0
+        logs = (diag.residual_evals, diag.jacobian_s, diag.linsolve_s, diag.line_search_s,
+                diag.factored)
+        for log in logs:
+            assert len(log) == steps
+            assert all(x >= 0 for x in log)
+        norms += [norm for norm, _, _ in diag.iterations[:steps]]
+        # the initial residual, then per step: one candidate when a chord
+        # step is tried (with a handed-in factor, or after a step that cut
+        # the residual below theta times its value); if that fails or none
+        # is tried, one call on the Jacobian's 6 complex-step surfaces and
+        # one per line-search candidate (every candidate here stays positive)
+        want = [1]
+        kinds = set()
+        for i, (evals, jac_s, factored, (_, scale, halvings)) in enumerate(
+                zip(diag.residual_evals, diag.jacobian_s, diag.factored, diag.iterations)):
+            tried = stale if i == 0 else norms[i] < gs._CHORD_THETA * norms[i - 1]
+            kinds.add((tried, factored))
+            assert tried or factored
+            if not factored:
+                assert evals == 1 and jac_s == 0.0 and (scale, halvings) == (1.0, 0)
+                assert norms[i + 1] < gs._CHORD_THETA * norms[i]
+                want += [1]
+            else:
+                assert evals == tried + 6 + halvings + 1 and jac_s > 0.0
+                want += [1] * tried + [6] + [1] * (halvings + 1)
+        assert surfaces == want
+        # both solves take chord steps; only the stale factor's chord step fails
+        assert (True, False) in kinds and ((True, True) in kinds) == stale
+
+
+def test_stale_factor_refactors_to_the_same_solution():
+    # a factor from another start fails its chord step: Newton refactors from
+    # the same iterate, so the solve is the one without the handed factor
+    g = gs.SphereGrid(16, 8)
+    psi = gs.PsiSpec("constant", c=1.25)
+    initial = gs.perturbed_sphere(g, 2.0, 0.05, seed=7)
+    fresh, fresh_diag = gs.newton_solve(initial, OP, psi)
+    handoff = _stale_handoff(g, psi)
+    stale_lu = handoff.lu
+    surf, diag = gs.newton_solve(initial, OP, psi, None, handoff)
+    assert diag.converged and diag.iterations[-1][0] <= diag.tol
+    assert diag.factored[0] and diag.residual_evals[0] == 1 + 6 + diag.iterations[0][2] + 1
+    assert np.array_equal(surf.rho, fresh.rho)
+    assert diag.iterations == fresh_diag.iterations
+    # no chord step is accepted without cutting the residual below theta times
+    norms = [_bordered_norm(initial, psi)] + [n for n, _, _ in diag.iterations]
+    for i, factored in enumerate(diag.factored):
+        assert factored or norms[i + 1] < gs._CHORD_THETA * norms[i]
+    # the handoff now holds the factor Newton last built, not the stale one
+    assert handoff.lu is not stale_lu and handoff.geometry is not None
+    assert sum(diag.factored) < len(diag.factored)
 
 
 def test_newton_rejects_inadmissible_start():
@@ -508,11 +587,11 @@ def _newton_calls(monkeypatch, fail_at=None, error=ConeExitError):
     calls = []
     solve = gs.newton_solve
 
-    def recorded(initial, op, psi, opts=None):
+    def recorded(initial, op, psi, opts=None, _handoff=None):
         calls.append((psi.t, initial.rho.copy()))
         if len(calls) - 1 == fail_at:
             raise error("injected failure")
-        return solve(initial, op, psi, opts)
+        return solve(initial, op, psi, opts, _handoff)
 
     monkeypatch.setattr(gs, "newton_solve", recorded)
     return calls
@@ -550,8 +629,43 @@ def test_non_positive_prediction_is_a_failed_step(monkeypatch):
     rho = np.full(g.shape, 1.0)
     rho[2, 3] = -1e-3
     psi = gs._BlendedPsi(gs.PsiSpec("constant", c=2.0), OP, 0.5, 1e-2)
-    assert gs._continuation_step(rho, g, OP, psi, None) is None
+    assert gs._continuation_step(rho, g, OP, psi, None, gs._Handoff()) is None
     assert calls == []   # Newton is not started from it
+
+
+def _reaches(obj, cls):
+    """Whether any object reachable from obj through references is a cls."""
+    seen, todo = set(), [obj]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen or isinstance(o, (np.ndarray, type)):
+            continue
+        seen.add(id(o))
+        if isinstance(o, cls):
+            return True
+        todo.extend(gc.get_referents(o))
+    return False
+
+
+def test_continuation_hands_its_factor_on(monkeypatch):
+    # criterion 10's path: each continuation step first tries the factor the
+    # previous accepted step ended with, so the path factors fewer Jacobians
+    # than it takes steps, and no factor stays on what it returns
+    factors = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+    psi = gs.PsiSpec("anisotropic-radial", c=3.0, p=3.0, eps=0.1, axis=(0.0, 0.0, 1.0))
+    path = gs.homotopy_solve(OP, psi, gs.SphereGrid(32, 16), 0.5, 2.0, steps=20, eps=1e-2)
+    assert path.ts[-1] == 1.0 and path.final_diagnostics.converged
+    assert 0 < len(factors) < len(path.ts) - 1
+    assert path.records == [gs.curvature_monitor(s) for s in path.surfaces]
+    assert _reaches({"lu": [factors[-1]]}, scipy.sparse.linalg.SuperLU)
+    assert not _reaches(path, scipy.sparse.linalg.SuperLU)
 
 
 @pytest.mark.parametrize("steps", [2, 3, 4])
