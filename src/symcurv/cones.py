@@ -226,6 +226,7 @@ _LADDER = np.concatenate([[0.0], np.linspace(1.0 / 48, 1.0, 48)])
 _COARSE = np.arange(8, 49, 8)  # level one: every 8th position
 _COARSE_BLEND = (1.0 - _LADDER[_COARSE, None], _LADDER[_COARSE, None])
 _FINE = np.arange(1, 8)        # level two: the 7 positions after level one's
+_SKIPPED = np.setdiff1d(np.arange(9, 48), _COARSE)  # past 8, not on level one
 _LADDER_INSIDE = 0.999 * _LADDER  # a candidate's blend parameter is at most this
 _MAX_TRIES = 200
 _BOUNDARY_BIAS = 0.8  # share of a trial's tries mixed toward the boundary
@@ -252,15 +253,20 @@ def _ladder_top(spec, p, v):
     inside along the segment p -> v (rows of p, v): 0 when no ladder
     point is feasible (margin > tol).
 
-    The feasible blend parameters form an interval around 0 (the cone is
-    convex and contains p), so in exact arithmetic feasibility is monotone
-    along the ladder.  Level one evaluates every 8th position and keeps
-    the last feasible one; level two evaluates the 7 positions after it
-    (on the rows where level one stopped short of the end) and keeps the
-    last feasible one there: at most 13 points in 2 calls.  On a monotone
-    row that is the largest feasible position.  On a row made non-monotone
-    by rounding it is a feasible position whose successor is infeasible or
-    past the end."""
+    The feasible blend parameters form an interval (the feasible set is
+    convex), so in exact arithmetic the feasible ladder positions are a
+    run.  The run starts at position 1 when p is feasible; when p is not
+    (its margin is at most tol, as when its entries span several decades)
+    the run can start later, or lie between two positions of level one.
+    Level one evaluates every 8th position and keeps the last feasible
+    one; level two evaluates the 7 positions after it (on the rows where
+    level one stopped short of the end) and keeps the last feasible one
+    there: at most 13 points in 2 calls.  A row that has found none by
+    then evaluates the 35 positions past 8 that level one skipped, so a
+    run lying between two positions of level one is not missed.  On a row
+    whose feasible positions form a run, the result is the largest
+    feasible position.  On a row made non-monotone by rounding it is a feasible
+    position whose successor is infeasible or past the end."""
     p, v = p[:, None, :], v[:, None, :]
     rest, lam = _COARSE_BLEND
     top = ((cone_margins_batch(spec, rest * p + lam * v) > spec.tol) * _COARSE).max(axis=1)
@@ -270,6 +276,11 @@ def _ladder_top(spec, p, v):
         lam = _LADDER[fine][..., None]
         ok = cone_margins_batch(spec, (1.0 - lam) * p[short] + lam * v[short]) > spec.tol
         top[short] = np.maximum((ok * fine).max(axis=1), top[short])
+    none = (top == 0).nonzero()[0]
+    if none.size:
+        lam = _LADDER[_SKIPPED, None]
+        ok = cone_margins_batch(spec, (1.0 - lam) * p[none] + lam * v[none]) > spec.tol
+        top[none] = (ok * _SKIPPED).max(axis=1)
     return top
 
 
@@ -278,8 +289,9 @@ def _candidates(spec, u, mixed):
     p, and where the boolean mask `mixed` is set, a point mixed toward a
     direction v with one negative entry and pulled back just inside the
     boundary: a random fraction of the way to the ladder position that
-    _ladder_top finds on p -> v (two levels, at most 13 margins; the
-    largest feasible position on a monotone ladder, a feasible one with an
+    _ladder_top finds on p -> v (two levels, at most 13 margins, and 35
+    more on a row where those find none; the largest feasible position
+    when the feasible positions form a run, a feasible one with an
     infeasible successor on a ladder that rounding made non-monotone)."""
     n = spec.n
     # p = u[:, :n] and v = u[:, n+1:2n+1] mapped to magnitudes in one step
