@@ -236,6 +236,26 @@ def _as_floats(coeffs):
         raise DomainError("a coefficient is beyond float range") from None
 
 
+def _companion_roots(desc):
+    """np.roots(desc), bit for bit, for coefficients in descending order, not
+    all zero: the eigenvalues of the same companion matrix, then one zero
+    root per trailing zero coefficient, without np.roots' array trimming."""
+    first, last = 0, len(desc) - 1
+    while desc[first] == 0:
+        first += 1
+    while desc[last] == 0:
+        last -= 1
+    p = np.array(desc[first: last + 1], dtype=float)
+    if p.size > 1:
+        a = np.eye(p.size - 1, k=-1)
+        a[0] = -p[1:] / p[0]
+        roots = np.linalg.eigvals(a)
+    else:
+        roots = np.zeros(0)
+    trailing = len(desc) - 1 - last
+    return np.concatenate([roots, np.zeros(trailing, roots.dtype)]) if trailing else roots
+
+
 def profile_roots(p):
     """All roots of p via companion-matrix eigenvalues, sorted by real part.
 
@@ -250,7 +270,7 @@ def profile_roots(p):
         raise DomainError("constant polynomial has no roots")
     cf = _as_floats(coeffs)
     snap = 1e-8 * (1.0 + max(abs(c) for c in cf))
-    raw = np.roots(list(reversed(cf))).tolist()
+    raw = _companion_roots(cf[::-1]).tolist()
     out = [z.real if abs(z.imag) <= snap else z for z in raw]
     return sorted(out, key=lambda z: (z.real, z.imag))  # a float's imag is 0.0
 
@@ -318,8 +338,10 @@ def _check_witness(b, alphas_prime, k):
     """Raise DomainError unless sigma_m(b) = alpha'_m for m = 0..k (entries
     missing from alphas_prime are 0): exactly when b is exact, else within
     1e-9 relative."""
-    eb = sigma_all(b, min(k, len(b))) + [0] * max(0, k - len(b))
     exact = all(_is_exact(x) for x in b)
+    while len(b) > 1 and b[-1] == 0:   # a zero tail adds to no sigma_m
+        b = b[:-1]
+    eb = sigma_all(b, min(k, len(b))) + [0] * max(0, k - len(b))
     for m in range(k + 1):
         got = eb[m]
         want = alphas_prime[m] if m < len(alphas_prime) else Fraction(0)

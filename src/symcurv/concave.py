@@ -27,7 +27,6 @@ from .cones import (
     cone_contains,
     cone_margins_batch,
     _PHASE_HESSIAN,
-    _PHASE_NORMAL,
     _PHASE_POINT,
     _Part,
     _chunks,
@@ -311,7 +310,7 @@ def _midpoint_chunk(field, seed, start, xs, found):
     trials that have a point, their directions, residuals (NaN read as
     unresolved, +inf) and probe sizes."""
     m, n = found.size, field.n
-    dirs = _normal_chunk(seed, _PHASE_NORMAL, start, m, _DIRECTIONS * n)
+    dirs = _normal_chunk(seed, start, m, _DIRECTIONS * n)
     dirs = dirs.reshape(m, _DIRECTIONS, n)[found]
     dirs /= np.sqrt(np.sum(dirs * dirs, axis=2, keepdims=True))
     xs = xs[found]
@@ -547,7 +546,7 @@ def guan_scan(op, s_l, trials, seed, delta=1.0, tol=1e-9):
     evaluated = 0
     for start, m in _chunks(trials):
         [(w, found)] = _sample(cone, seed, [_Part(_PHASE_POINT, start, m)])
-        v = _normal_chunk(seed, _PHASE_NORMAL, start, m, op.n)
+        v = _normal_chunk(seed, start, m, op.n)
         w, v = w[found], v[found] * (1.0 + np.max(np.abs(w[found]), axis=1))[:, None]
         evaluated += w.shape[0]
         if w.shape[0] == 0:

@@ -149,12 +149,13 @@ def _chunks(total):
     return [(s, min(_CHUNK, total - s)) for s in range(0, total, _CHUNK)]
 
 
-def _normal_chunk(seed, phase, start, count, size):
-    """Standard normals, shape (count, size), for trials start..start+count-1.
+def _normal_chunk(seed, start, count, size):
+    """Standard normals, shape (count, size), for trials start..start+count-1
+    in _PHASE_NORMAL.
 
     Box-Muller on one fixed-width block of uniforms per trial."""
     half = -(-size // 2)
-    u = _uniforms(seed, phase, 0, 1, start, count, _width(2 * half))[0]
+    u = _uniforms(seed, _PHASE_NORMAL, 0, 1, start, count, _width(2 * half))[0]
     radius = np.sqrt(-2.0 * np.log1p(-u[:, :half]))
     angle = 2.0 * np.pi * u[:, half: 2 * half]
     return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)[:, :size]

@@ -42,9 +42,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
-from scipy.optimize import brentq
 
 from .errors import (
     ConeExitError,
@@ -492,6 +489,8 @@ def _jacobian(rho, grid, op, psi, pat):
     in pattern pat: the residual at a node is a pointwise function f of its
     six local quantities q, whose partials come from one complex-step
     evaluation of f on 6 surfaces."""
+    import scipy.sparse   # loaded on the first solve, not with symcurv
+
     q = np.stack(_derivatives(rho, grid))[:, None]
     batch = q + 1j * _CS_STEP * np.eye(6)[:, :, None, None]   # q_b steps on surface b
     res = _pointwise_residual(batch, grid, op, psi)[0]
@@ -538,6 +537,8 @@ def newton_solve(initial, op, psi, opts=None, _handoff=None):
     """
     if op.n != 2:
         raise DomainError("surface solving is fixed to n=2 (two principal curvatures)")
+    import scipy.sparse.linalg   # loaded on the first solve, not with symcurv
+
     opts = opts or SolveOptions()
     grid = initial.grid
     pat = _jacobian_pattern(grid, _position_free(psi))
@@ -827,13 +828,25 @@ def _continuation_step(rho, grid, op, psi, opts, handoff):
 
 
 def _bracketed_root(f, lo, hi):
+    """A root of the scalar f in [lo, hi]: the first of 121 geometric grid
+    points where f is 0, else the first sign change between neighbours,
+    bisected down to adjacent floats a < b; returns a, at which f keeps the
+    sign it has on the left of the change."""
     grid = np.geomspace(lo, hi, 121)
     vals = [f(r) for r in grid]
     for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
         if fa == 0.0:
             return float(a)
         if fa * fb < 0:
-            return float(brentq(f, a, b, xtol=1e-14, rtol=8.9e-16))
+            while a < (m := 0.5 * (a + b)) < b:
+                fm = f(m)
+                if fm == 0.0:
+                    return float(m)
+                if (fm < 0) == (fa < 0):
+                    a = m
+                else:
+                    b = m
+            return float(a)
     raise DomainError("no round solution of the comparison problem in the bracket")
 
 

@@ -17,8 +17,8 @@ from math import gcd, lcm
 import numpy as np
 
 from .errors import DomainError, SymcurvError
-from .combop import (OperatorSpec, PolyCoeffs, _as_floats, _check_witness, alpha_prime,
-                     lower_operator, profile_roots)
+from .combop import (OperatorSpec, PolyCoeffs, _as_floats, _check_witness, _companion_roots,
+                     alpha_prime, lower_operator, profile_roots)
 
 __all__ = [
     "ConditionCReport",
@@ -116,7 +116,7 @@ def _float_roots(p):
     e = round((abs(p[j]).bit_length() - abs(p[d]).bit_length()) / (d - j)) if d > j else 0
     q = [c << e * m if e >= 0 else c << -e * (d - m) for m, c in enumerate(p)]
     top = 1 << max(0, max(abs(c).bit_length() for c in q) - 1000)
-    raw = np.roots([c / top for c in reversed(q)])
+    raw = _companion_roots([c / top for c in reversed(q)])
     return np.ldexp(raw.real, e) + 1j * np.ldexp(raw.imag, e)
 
 

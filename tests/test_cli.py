@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -239,3 +242,31 @@ def test_demo_config_reruns_are_byte_identical(tmp_path, capsys, config):
     assert runs[0] == runs[1]
     assert "report.csv" in runs[0]
     assert ("witness.json" in runs[0]) == (want == 1)
+
+
+
+_IMPORT_PROBE = """
+import sys
+import symcurv, symcurv.cli
+banned, out, configs = sys.argv[1], sys.argv[2], sys.argv[3:]
+for i, config in enumerate(configs):
+    if symcurv.cli.main([config, "--output", f"{out}/{i}"]) != 0:
+        sys.exit(f"{config} failed")
+loaded = [m for m in sys.modules if m == banned or m.startswith(banned + ".")]
+sys.exit(f"loaded {loaded}" if loaded else 0)
+"""
+
+
+@pytest.mark.parametrize("configs, banned", [
+    (("condition_c", "check_cone"), "scipy"),
+    (("homotopy",), "scipy.optimize"),
+])
+def test_runs_load_scipy_only_for_the_geometry_solve(tmp_path, configs, banned):
+    # a fresh interpreter: this test process has imported scipy already
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    paths = [str(DEMO_CONFIGS[0].parent / f"{c}.ini") for c in configs]
+    run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, banned, str(tmp_path), *paths],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

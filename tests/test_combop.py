@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from symcurv import combop, hypcheck, symfun
 from symcurv.combop import OperatorSpec, PolyCoeffs
@@ -127,6 +128,22 @@ def test_profile_roots_quadratic_and_complex():
     for p in ([10**400, 0, 1], PolyCoeffs((1, 0, F(10**400, 3)))):
         with pytest.raises(DomainError, match="beyond float range"):
             combop.profile_roots(p)
+
+
+_coeff_st = st.one_of(
+    st.lists(st.floats(-1e6, 1e6, allow_nan=False).filter(lambda c: c == 0 or abs(c) > 1e-6),
+             min_size=1, max_size=9),
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9))
+
+
+@given(desc=_coeff_st, lead=st.floats(1e-3, 1e3) | st.integers(1, 99),
+       zeros=st.integers(0, 3))
+def test_companion_roots_equal_np_roots_bit_for_bit(desc, lead, zeros):
+    # the leading coefficient nonzero, zero constant terms appended
+    desc = [lead] + desc + [0] * zeros
+    want = np.roots(desc)
+    got = combop._companion_roots(desc)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_profile_derivative_matches_gradient_sum():

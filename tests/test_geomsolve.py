@@ -1,4 +1,5 @@
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -690,6 +691,46 @@ def test_homotopy_constant_sphere_path():
     for surf in path.surfaces:
         assert np.ptp(surf.rho) <= 1e-7
     assert np.abs(path.surfaces[-1].rho - 1.0).max() <= 1e-7
+
+
+def test_bracketed_root_bisects_to_adjacent_floats():
+    r = gs._bracketed_root(lambda r: r * r - 2.0, 1e-3, 1e3)
+    after = float(np.nextafter(r, np.inf))
+    assert r * r - 2.0 < 0.0 < after * after - 2.0
+
+
+@pytest.mark.parametrize("f", [lambda r: r * r - 2.0, lambda r: 2.0 - r * r,
+                               lambda r: math.exp(-r) - 0.01, lambda r: math.log(r) - 0.3,
+                               lambda r: r**5 - 7.77, lambda r: 0.7 - 1.0 / r,
+                               lambda r: math.atan(r) - 1.2])
+def test_bracketed_root_agrees_with_brentq(f):
+    from scipy.optimize import brentq
+
+    r = gs._bracketed_root(f, 1e-3, 1e3)
+    grid = np.geomspace(1e-3, 1e3, 121)
+    i = np.searchsorted(grid, r, side="right")
+    want = brentq(f, grid[i - 1], grid[i], xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    assert abs(r - want) <= 2 * np.spacing(r)
+
+
+def test_homotopy_from_a_round_start_off_the_bracket_grid(monkeypatch):
+    # with eps = 0.005, (1 + eps) - eps != 1 in floats, so the comparison
+    # datum's round solution is not the grid point 1.0 and the bisection runs
+    starts = []
+    bracketed = gs._bracketed_root
+
+    def recording(f, lo, hi):
+        starts.append(bracketed(f, lo, hi))
+        return starts[-1]
+
+    monkeypatch.setattr(gs, "_bracketed_root", recording)
+    g = gs.SphereGrid(16, 8)
+    psi = gs.PsiSpec("constant", c=float(q_eval(OP, (1.0, 1.0))))
+    path = gs.homotopy_solve(OP, psi, g, 0.5, 2.0, steps=5, eps=0.005, check_barrier=False)
+    [r0] = starts
+    assert r0 not in np.geomspace(1e-3, 1e3, 121) and abs(r0 - 1.0) < 1e-15
+    diag = path.final_diagnostics
+    assert path.ts[-1] == 1.0 and diag.converged and diag.iterations[-1][0] <= diag.tol
 
 
 def test_homotopy_refuses_bad_barrier():

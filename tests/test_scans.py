@@ -55,9 +55,9 @@ def test_chunk_draws_depend_on_trial_index_only(seed, start, count):
         spec, seed, [cones._Part(cones._PHASE_HESSIAN, 0, 3, 0.5, 0.01),
                      cones._Part(cones._PHASE_POINT, start, count)])
     assert np.array_equal(again, part)
-    normals = cones._normal_chunk(seed, cones._PHASE_NORMAL, 0, start + count, 7)
+    normals = cones._normal_chunk(seed, 0, start + count, 7)
     assert np.array_equal(normals[start:],
-                          cones._normal_chunk(seed, cones._PHASE_NORMAL, start, count, 7))
+                          cones._normal_chunk(seed, start, count, 7))
 
 
 @SLOW
