@@ -82,11 +82,8 @@ def _parse_value(kind, raw, lineno):
             return tuple(float(Fraction(p)) if "/" in p else float(p)
                          for p in raw.split(","))
         if kind == "fraclist":
-            out = []
-            for p in raw.split(","):
-                p = p.strip()
-                out.append(Fraction(p) if ("/" in p or "." not in p) else float(p))
-            return tuple(out)
+            parts = [p.strip() for p in raw.split(",")]
+            return tuple(Fraction(p) if ("/" in p or "." not in p) else float(p) for p in parts)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"non-numeric value {raw!r}", line=lineno) from None
     raise ConfigError(f"unhandled value kind {kind}", line=lineno)

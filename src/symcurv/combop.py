@@ -73,10 +73,7 @@ class OperatorSpec:
     @classmethod
     def sum_type(cls, n, k, alpha=0):
         """The two-term operator sigma_k + alpha*sigma_{k-1}."""
-        coeffs = [0] * (k + 1)
-        coeffs[k] = 1
-        coeffs[k - 1] = alpha
-        return cls(n, k, tuple(coeffs))
+        return cls(n, k, (0,) * (k - 1) + (alpha, 1))
 
     @property
     def is_exact(self):
@@ -236,22 +233,30 @@ def _as_floats(coeffs):
         raise DomainError("a coefficient is beyond float range") from None
 
 
+@lru_cache(maxsize=None)
+def _shift(n):
+    """np.eye(n, k=-1), read-only; callers copy it."""
+    a = np.eye(n, k=-1)
+    a.flags.writeable = False
+    return a
+
+
 def _companion_roots(desc):
     """np.roots(desc), bit for bit, for coefficients in descending order, not
-    all zero: the eigenvalues of the same companion matrix, then one zero
-    root per trailing zero coefficient, without np.roots' array trimming."""
+    all zero: the eigenvalues of the same companion matrix (its one entry
+    when p is linear), then one zero root per trailing zero coefficient,
+    without np.roots' array trimming."""
     first, last = 0, len(desc) - 1
     while desc[first] == 0:
         first += 1
     while desc[last] == 0:
         last -= 1
     p = np.array(desc[first: last + 1], dtype=float)
-    if p.size > 1:
-        a = np.eye(p.size - 1, k=-1)
-        a[0] = -p[1:] / p[0]
+    roots = -p[1:] / p[0]   # the companion matrix's first row
+    if p.size > 2:
+        a = _shift(p.size - 1).copy()
+        a[0] = roots
         roots = np.linalg.eigvals(a)
-    else:
-        roots = np.zeros(0)
     trailing = len(desc) - 1 - last
     return np.concatenate([roots, np.zeros(trailing, roots.dtype)]) if trailing else roots
 

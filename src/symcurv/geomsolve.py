@@ -518,7 +518,7 @@ def newton_solve(initial, op, psi, opts=None, _handoff=None):
     Numerical Continuation Methods, 1990), and converges only with
     |mu| <= tol.  Backtracking halves the step until the sup-norm of the
     (bordered) residual decreases and the iterate stays admissible
-    (positive rho, curvatures in the cone).
+    (positive rho, psi defined on it, curvatures in the cone).
 
     After a step that cuts the residual below theta = _CHORD_THETA = 0.1
     times its value, the next step is first tried as a chord step with the
@@ -558,13 +558,16 @@ def newton_solve(initial, op, psi, opts=None, _handoff=None):
 
     def candidate(step, scale, bound):
         """(rho, mu, bordered residual, its norm, geometry) of the iterate
-        rho + scale * step, or None unless it is positive, admissible and
-        its norm is finite and below bound."""
+        rho + scale * step, or None unless it is positive, psi is defined
+        on it, it is admissible and its norm is finite and below bound."""
         cand = rho + scale * step[:rho.size].reshape(grid.shape)
         if not np.all(cand > 0):
             return None
         diag.residual_evals[-1] += 1
-        cand_res, cand_geo = _residual_raw(cand, grid, op, psi)
+        try:
+            cand_res, cand_geo = _residual_raw(cand, grid, op, psi)
+        except DomainError:   # psi.evaluate refuses the candidate surface
+            return None
         cand_mu = mu + scale * step[rho.size:]
         cand_full = bordered(cand, cand_res, cand_mu)
         cand_norm = float(np.max(np.abs(cand_full)))
@@ -676,7 +679,6 @@ def barrier_check(psi, op, r1, r2=None, tol=1e-12):
         i = int(np.argmin(margins))
         return float(margins[i]), tuple(X[i])
 
-    witness = None
     if r2 is None:
         worst, witness = sphere_margin(r1, "upper")
         details["upper_margin"] = worst

@@ -3,11 +3,13 @@
 The transformed coefficients alpha'_m = (n-k)! alpha_{k-m} / (n-k+m)! form a
 univariate polynomial; the operator is hyperbolic-compatible iff that
 polynomial has only real roots, equivalently alpha'_m = sigma_m(b) for a
-nonnegative witness vector b.  The decision is tolerance-free: one Sturm
+nonnegative witness vector b.  The decision is tolerance-free: the Sturm
 chain of signed pseudo-remainders over the integers, denominators cleared
-once (Basu, Pollack & Roy, "Algorithms in Real Algebraic Geometry", ch. 8);
-roots come from numpy per factor of Yun's square-free decomposition over
-the integers.  A numeric companion-matrix mode is an independent cross-check.
+once, stops at the first remainder whose leading sign is not p's or whose
+degree drops by two or more, which proves a non-real root (Basu, Pollack &
+Roy, "Algorithms in Real Algebraic Geometry", 2006, ch. 2 and 8); roots
+come from numpy per factor of Yun's square-free decomposition over the
+integers.  A numeric companion-matrix mode is an independent cross-check.
 """
 
 from dataclasses import dataclass
@@ -111,12 +113,16 @@ def _squarefree(p, g):
 def _float_roots(p):
     """numpy's roots of p after t = 2^e s, e from the coefficients' bit
     lengths, so neither coefficients nor roots overflow or underflow; the
-    roots are scaled back by 2^e exactly."""
+    roots are scaled back by 2^e exactly; DomainError if the scaled lead
+    or lowest term underflows to 0."""
     d, j = len(p) - 1, next(i for i, c in enumerate(p) if c)
     e = round((abs(p[j]).bit_length() - abs(p[d]).bit_length()) / (d - j)) if d > j else 0
     q = [c << e * m if e >= 0 else c << -e * (d - m) for m, c in enumerate(p)]
     top = 1 << max(0, max(abs(c).bit_length() for c in q) - 1000)
-    raw = _companion_roots([c / top for c in reversed(q)])
+    desc = [c / top for c in reversed(q)]
+    if desc[0] == 0 or desc[d - j] == 0:
+        raise DomainError("coefficients span beyond float range; roots not computable")
+    raw = _companion_roots(desc)
     return np.ldexp(raw.real, e) + 1j * np.ldexp(raw.imag, e)
 
 
@@ -139,12 +145,16 @@ def real_rooted(p, mode="exact"):
     Exact mode: the Sturm chain of p and p' over primitive integer
     coefficients gives V(-inf) - V(+inf) distinct real roots and it ends in
     gcd(p, p'), so p has deg p - deg gcd distinct roots; p is all-real iff
-    the counts agree (multiple real roots pass).  Roots, with multiplicity,
-    are numpy's per square-free factor.  Numeric mode: combop.profile_roots,
-    real iff every root snaps to the real axis; it is blind to
-    repeated roots, which split into clusters of width ~eps^(1/multiplicity)
-    (2(1 + t)^3 comes out complex), and it raises DomainError on
-    coefficients beyond float range.  Degree 0 is vacuously all-real.
+    the counts agree (multiple real roots pass).  As L elements follow p,
+    V(-inf) - V(+inf) <= L <= deg p - deg gcd, both equalities holding iff
+    every leading sign is p's and every degree drop is one: the chain stops
+    at the first element that breaks this.  Roots, with multiplicity, are
+    numpy's per square-free factor (DomainError when the coefficients span
+    beyond float range).  Numeric mode: combop.profile_roots, real iff every
+    root snaps to the real axis; it is blind to repeated roots, which split
+    into clusters of width ~eps^(1/multiplicity) (2(1 + t)^3 comes out
+    complex), and it raises DomainError on coefficients beyond float range.
+    Degree 0 is vacuously all-real.
     """
     coeffs = list(p.coeffs) if isinstance(p, PolyCoeffs) else list(p)
     if all(c == 0 for c in coeffs):
@@ -161,18 +171,16 @@ def real_rooted(p, mode="exact"):
     f = _integer_poly(coeffs)
     if len(f) == 1:
         return RealRootedResult(True, mode, roots=())
-    chain = [f, _primitive(_deriv(f))]  # signed pseudo-remainders; ends in gcd(f, f')
-    while len(chain[-1]) > 1 and (r := _prem(chain[-2], chain[-1])):
-        chain.append([-c for c in r])
-    plus = [q[-1] > 0 for q in chain]  # signs at +inf; at -inf they flip for odd degree
-    minus = [s == (len(q) % 2 == 1) for s, q in zip(plus, chain)]
-    v_minus, v_plus = (sum(x != y for x, y in zip(s, s[1:])) for s in (minus, plus))
-    if v_minus - v_plus != len(f) - len(chain[-1]):
-        return RealRootedResult(False, mode, witness=_complex_pair(_float_roots(f)))
-    roots = []
-    for factor, mult in _squarefree(f, _primitive(chain[-1])):
-        roots.extend(float(r.real) for r in _float_roots(factor) for _ in range(mult))
-    return RealRootedResult(True, mode, roots=tuple(sorted(roots)))
+    a, b = f, _primitive(_deriv(f))  # primitive signed pseudo-remainders; end in gcd(f, f')
+    while len(b) > 1 and (r := _prem(a, b)):
+        a, b = b, [-c for c in r]
+        if len(b) < len(a) - 1 or (b[-1] > 0) != (f[-1] > 0):
+            return RealRootedResult(False, mode, witness=_complex_pair(_float_roots(f)))
+    # b = [sign of f's lead] when gcd(f, f') = 1: Yun's one factor is f / b, exactly
+    factors = _squarefree(f, b) if len(b) > 1 else [([b[0] * c for c in f], 1)]
+    roots = sorted(float(r.real) for factor, mult in factors for r in _float_roots(factor)
+                   for _ in range(mult))
+    return RealRootedResult(True, mode, roots=tuple(roots))
 
 
 def _witness(ap, k, roots):

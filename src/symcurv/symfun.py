@@ -88,9 +88,7 @@ def elem_sym_deleted(lam, m, omit):
     rest = delete_entries(lam, omit)
     if not 0 <= m <= len(rest):
         raise DomainError(f"m={m} out of range 0..{len(rest)}")
-    if len(rest) == 0:
-        return 1 if m == 0 else 0
-    return sigma_all(rest, m)[m]
+    return _sigmas_of(rest, m)[m]
 
 
 def _sigmas_of(rest, upto):
@@ -100,18 +98,13 @@ def _sigmas_of(rest, upto):
     return sigma_all(rest, min(upto, len(rest))) + [0] * max(0, upto - len(rest))
 
 
-def _deleted_sigmas(values, omit_idx, upto):
-    rest = tuple(x for i, x in enumerate(values) if i != omit_idx)
-    return _sigmas_of(rest, upto)
-
-
 def sigma_grad(lam, k):
     """Gradient of sigma_k: component i is sigma_{k-1}(lam|i)."""
     values = as_tuple(lam)
     n = len(values)
     if not 1 <= k <= n:
         raise DomainError(f"k={k} out of range 1..{n}")
-    return [_deleted_sigmas(values, i, k - 1)[k - 1] for i in range(n)]
+    return [_sigmas_of(values[:i] + values[i + 1:], k - 1)[k - 1] for i in range(n)]
 
 
 def sigma_hess(lam, k):
@@ -126,9 +119,7 @@ def sigma_hess(lam, k):
     for p in range(n):
         for q in range(p + 1, n):
             rest = tuple(x for i, x in enumerate(values) if i != p and i != q)
-            v = _sigmas_of(rest, k - 2)[k - 2]
-            hess[p][q] = v
-            hess[q][p] = v
+            hess[p][q] = hess[q][p] = _sigmas_of(rest, k - 2)[k - 2]
     return hess
 
 
@@ -204,11 +195,8 @@ def matrix_symfun_second_derivative(k, a_diag, b):
     if len(rows) != n or any(len(r) != n for r in rows):
         raise DomainError(f"direction matrix must be {n}x{n}")
     scale = max(1.0, max(abs(float(x)) for x in values))
-    gap = min(
-        abs(float(values[i]) - float(values[j]))
-        for i in range(n)
-        for j in range(i + 1, n)
-    ) if n > 1 else math.inf
+    gap = min((abs(float(values[i]) - float(values[j])) for i in range(n)
+               for j in range(i + 1, n)), default=math.inf)
     if gap < 1e-8 * scale:
         raise DegenerateInputError(
             f"eigengap {gap:.3e} below 1e-8*scale; formula assumes distinct eigenvalues"

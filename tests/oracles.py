@@ -231,6 +231,41 @@ def rooted_product(linear, quadratic_c=None):
     return coeffs, roots
 
 
+def full_chain_real_rooted(coeffs):
+    """The exact decision with the whole Sturm chain, as real_rooted made it
+    before its early exit: every signed pseudo-remainder of f and f' (f the
+    primitive integer polynomial of coeffs), V(-inf) - V(+inf) distinct
+    real roots counted against deg f - deg gcd(f, f') distinct roots, and
+    np.roots of every factor of Yun's square-free decomposition, the
+    constant gcd included, scaled by 2^e and rebuilt with ldexp.  It reuses
+    hypcheck's integer arithmetic, so it checks the shortcuts taken on top
+    of it (and the float roots), not that arithmetic."""
+    from symcurv import hypcheck as h
+
+    def float_roots(p):
+        d, j = len(p) - 1, next(i for i, c in enumerate(p) if c)
+        e = round((abs(p[j]).bit_length() - abs(p[d]).bit_length()) / (d - j)) if d > j else 0
+        q = [c << e * m if e >= 0 else c << -e * (d - m) for m, c in enumerate(p)]
+        top = 1 << max(0, max(abs(c).bit_length() for c in q) - 1000)
+        raw = np.roots([c / top for c in reversed(q)])
+        return np.ldexp(raw.real, e) + 1j * np.ldexp(raw.imag, e)
+
+    f = h._integer_poly(list(coeffs))
+    if len(f) == 1:
+        return h.RealRootedResult(True, "exact", roots=())
+    chain = [f, h._primitive(h._deriv(f))]
+    while len(chain[-1]) > 1 and (r := h._prem(chain[-2], chain[-1])):
+        chain.append([-c for c in r])
+    plus = [q[-1] > 0 for q in chain]  # signs at +inf; at -inf they flip for odd degree
+    minus = [s == (len(q) % 2 == 1) for s, q in zip(plus, chain)]
+    v_minus, v_plus = (sum(x != y for x, y in zip(s, s[1:])) for s in (minus, plus))
+    if v_minus - v_plus != len(f) - len(chain[-1]):
+        return h.RealRootedResult(False, "exact", witness=h._complex_pair(float_roots(f)))
+    roots = [float(r.real) for factor, mult in h._squarefree(f, h._primitive(chain[-1]))
+             for r in float_roots(factor) for _ in range(mult)]
+    return h.RealRootedResult(True, "exact", roots=tuple(sorted(roots)))
+
+
 def ladder_top_full(spec, p, v):
     """The sampler's boundary ladder evaluated at all 48 points: per row of
     p, v (m, n), the largest position j in 1..48 whose blend

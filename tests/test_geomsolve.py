@@ -681,6 +681,18 @@ def test_homotopy_predictor_raises_no_cone_exit(steps):
     assert path.ts[-1] == 1.0
 
 
+def test_candidate_outside_psi_domain_halves_the_step():
+    # without the barrier check, psi = 2.5 leads the path to large radii: a
+    # full Newton step proposes a radius where the blended datum
+    # (1 + eps)/r^2 - eps is negative and psi.evaluate raises DomainError.
+    # The line search rejects that candidate like any other, so the path
+    # ends in ContinuationError, not in the DomainError
+    with pytest.raises(ContinuationError) as info:
+        gs.homotopy_solve(OP, gs.PsiSpec("constant", c=2.5), gs.SphereGrid(16, 8), 0.5, 2.0,
+                          steps=5, eps=0.01, check_barrier=False)
+    assert 0.2 < info.value.last_t < 0.25
+
+
 def test_homotopy_constant_sphere_path():
     # psi already matching a sphere: every accepted step stays round
     g = gs.SphereGrid(16, 8)

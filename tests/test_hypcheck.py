@@ -3,9 +3,9 @@ from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import rooted_product
+from oracles import full_chain_real_rooted, rooted_product
 from symcurv import hypcheck
 from symcurv.combop import OperatorSpec
 from symcurv.errors import DomainError
@@ -105,6 +105,39 @@ def test_exact_decision_invariant_under_scaling_and_floats(linear, c, scale):
         assert r.all_real == want.all_real
         if want.all_real:
             assert r.roots == pytest.approx(want.roots, rel=1e-12, abs=0)
+
+
+def test_coefficient_span_beyond_float_range_raises():
+    # scaled by 2^-4000 so the largest coefficient fits, 1 + 2^5000 t + t^2
+    # keeps a leading 1 that underflows to 0.0; the roots are -2^-5000 and
+    # about -2^5000.  Without the check the companion matrix lost a degree
+    # and real_rooted reported the one root 0.0.
+    with pytest.raises(DomainError, match="beyond float range"):
+        hypcheck.real_rooted([1, 2**5000, 1])
+    # (t^2 + 1)(t + 2^5000): the witness path underflows the same way
+    with pytest.raises(DomainError, match="beyond float range"):
+        hypcheck.real_rooted([2**5000, 1, 2**5000, 1])
+
+
+# up to degree 12: products of linear factors (repeated ones included),
+# the same times a complex quadratic, and free integer polynomials
+_products_st = st.tuples(_linear_st, _quadratic_st).filter(
+    lambda lc: sum(m for _, _, m in lc[0]) + 2 * (lc[1] is not None) <= 12
+).map(lambda lc: rooted_product(*lc)[0])
+_free_st = st.lists(st.integers(-9, 9) | st.integers(-10**12, 10**12), min_size=2, max_size=13)
+_poly_st = (_products_st | _free_st).filter(any)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=_poly_st)
+@example(coeffs=[2, 0, -1])   # Yun's factor is -f; f's companion rounds 1.414... differently
+@example(coeffs=[1, 0, 1])    # e = 0: the 2^e rebuild turns the real parts -0.0 into 0.0
+def test_early_exit_matches_full_chain(coeffs):
+    # decision, roots and witness, bit for bit (repr tells -0.0 from 0.0)
+    r = hypcheck.real_rooted(coeffs)
+    assert repr(r) == repr(full_chain_real_rooted(coeffs))
+    if r.all_real:   # one root per degree, multiplicities included
+        assert len(r.roots) == max(i for i, c in enumerate(coeffs) if c)
 
 
 def test_exact_and_numeric_modes_agree_smoke():
