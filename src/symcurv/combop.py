@@ -1,9 +1,11 @@
 """Linear combinations Q = sum_s alpha_s sigma_s and their derived objects.
 
 Operators are normalized so the top coefficient is 1 (exactly, when the
-given coefficients are exact).  Univariate profiles t -> Q(a*t + x) are
-expanded through the mixed forms sigma_{l,m-l}(a, x), which keeps the
-coefficients exact for exact inputs.
+given coefficients are exact).  Q, Q^{ii} and Q^{pp,qq} are one exact sum
+sum_s c_s sigma_s over lam, lam|i and lam|pq with c = alphas, alphas[1:] and
+alphas[2:], one product-recurrence pass each.  Univariate profiles
+t -> Q(a*t + x) are expanded through the mixed forms sigma_{l,m-l}(a, x),
+which keeps the coefficients exact for exact inputs.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ from math import factorial
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .symfun import as_tuple, polarized_sigma, sigma_all, sigma_all_batch, sigma_grad, sigma_hess
+from .symfun import _sigmas_of, as_tuple, polarized_sigma, sigma_all, sigma_all_batch
 
 __all__ = [
     "OperatorSpec",
@@ -24,7 +26,6 @@ __all__ = [
     "q_grad",
     "q_hess",
     "q_eval_batch",
-    "q_grad_batch",
     "quotient_q",
     "shifted_profile",
     "profile_roots",
@@ -92,67 +93,46 @@ def _check_dim(op, values):
         raise DomainError(f"operator expects n={op.n} entries, got {len(values)}")
 
 
+def _combine(coeffs, values):
+    """sum_s coeffs[s] * sigma_s(values) from one pass of the product
+    recurrence; exact for exact input, zero coefficients add nothing."""
+    total = 0
+    for c, e in zip(coeffs, _sigmas_of(values, len(coeffs) - 1)):
+        if c != 0:
+            total = total + c * e
+    return total
+
+
 def q_eval(op, lam):
     """Q(lam) = sum_s alpha_s sigma_s(lam)."""
     values = as_tuple(lam)
     _check_dim(op, values)
-    e = sigma_all(values, op.k)
-    total = 0
-    for s, a in enumerate(op.alphas):
-        if a != 0:
-            total = total + a * e[s]
-    return total
+    return _combine(op.alphas, values)
 
 
 def q_grad(op, lam):
     """Componentwise Q^{ii}(lam) = sum_s alpha_s sigma_{s-1}(lam|i)."""
     values = as_tuple(lam)
     _check_dim(op, values)
-    out = [0] * op.n
-    for s, a in enumerate(op.alphas):
-        if s == 0 or a == 0:
-            continue
-        g = sigma_grad(values, s)
-        for i in range(op.n):
-            out[i] = out[i] + a * g[i]
-    return out
+    return [_combine(op.alphas[1:], values[:i] + values[i + 1:]) for i in range(op.n)]
 
 
 def q_hess(op, lam):
     """Matrix Q^{pp,qq}(lam) = sum_s alpha_s sigma_{s-2}(lam|pq); zero diagonal."""
     values = as_tuple(lam)
     _check_dim(op, values)
-    out = [[0] * op.n for _ in range(op.n)]
-    for s, a in enumerate(op.alphas):
-        if s < 2 or a == 0:
-            continue
-        h = sigma_hess(values, s)
-        for p in range(op.n):
-            for q in range(op.n):
-                out[p][q] = out[p][q] + a * h[p][q]
+    zero = sum(a * 0 for a in op.alphas[2:] if a != 0)   # 0 of the coefficients' type
+    out = [[zero] * op.n for _ in range(op.n)]
+    for p in range(op.n):
+        for q in range(p + 1, op.n):
+            rest = values[:p] + values[p + 1: q] + values[q + 1:]
+            out[p][q] = out[q][p] = _combine(op.alphas[2:], rest)
     return out
 
 
 def q_eval_batch(op, values):
     """Vectorized Q over the last axis: values shape (..., n) -> shape (...)."""
-    return sigma_all_batch(values, op.k) @ _float_coeffs(op)
-
-
-def _float_coeffs(op):
-    return np.array([float(a) for a in op.alphas])
-
-
-@lru_cache(maxsize=None)
-def _complements(n):
-    # row i lists the indices other than i
-    return np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=int)
-
-
-def q_grad_batch(op, values):
-    """Vectorized Q^{ii}: values shape (..., n) -> shape (..., n)."""
-    arr = np.asarray(values, dtype=float)
-    rest = arr[..., _complements(op.n)]
-    return sigma_all_batch(rest, op.k - 1) @ _float_coeffs(op)[1:]
+    return sigma_all_batch(values, op.k) @ np.array([float(a) for a in op.alphas])
 
 
 def quotient_q(lam, k, alpha):
@@ -245,7 +225,8 @@ def _companion_roots(desc):
     """np.roots(desc), bit for bit, for coefficients in descending order, not
     all zero: the eigenvalues of the same companion matrix (its one entry
     when p is linear), then one zero root per trailing zero coefficient,
-    without np.roots' array trimming."""
+    without np.roots' array trimming; DomainError where the first row
+    overflows."""
     first, last = 0, len(desc) - 1
     while desc[first] == 0:
         first += 1
@@ -256,7 +237,12 @@ def _companion_roots(desc):
     if p.size > 2:
         a = _shift(p.size - 1).copy()
         a[0] = roots
-        roots = np.linalg.eigvals(a)
+        try:
+            roots = np.linalg.eigvals(a)
+        except np.linalg.LinAlgError:   # the first row overflowed
+            raise DomainError("coefficient ratios beyond float range") from None
+    elif not np.isfinite(roots).all():   # the linear root, if any
+        raise DomainError("coefficient ratio beyond float range")
     trailing = len(desc) - 1 - last
     return np.concatenate([roots, np.zeros(trailing, roots.dtype)]) if trailing else roots
 

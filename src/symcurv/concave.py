@@ -1,6 +1,8 @@
 """Numerical concavity verification.
 
-Fields under test are scalar functions on an open cone.  Two instruments:
+Fields under test are scalar functions on an open cone.  Every catalog
+field is (A/B)^p for two operators A and B (B = 1 for the roots), and one
+kernel evaluates them all from one sigma_all_batch pass.  Two instruments:
 a midpoint test 2f(x) - f(x+eps*xi) - f(x-eps*xi) >= 0 (exact for concave f
 at any admissible probe size, so it runs tight tolerances even near the
 cone boundary) and the largest eigenvalue of the Hessian, which must be
@@ -114,42 +116,39 @@ class ScalarField:
 # ---------------------------------------------------------------------------
 # field catalog
 
+def _ratio_field(name, n, domain, num, den=None, power=1.0):
+    """The field (num / den)^power of two OperatorSpecs (num^power when den
+    is None): one sigma_all_batch pass up to the larger degree, then each
+    operator's float coefficients, zero-padded to that length, against it."""
+    ops = (num,) if den is None else (num, den)
+    top = max(op.k for op in ops)
+    coeffs = [np.array([float(a) for a in op.alphas] + [0.0] * (top - op.k)) for op in ops]
+
+    def batch(pts):
+        e = sigma_all_batch(pts, top)
+        value = e @ coeffs[0] if den is None else (e @ coeffs[0]) / (e @ coeffs[1])
+        return value if power == 1 else value ** power
+
+    return ScalarField(name=name, n=n, domain=domain, batch_fn=batch)
+
+
 def quotient_qk_field(n, k, alpha, domain=None):
-    """Sum-type quotient q_k = (sigma_{k+1}+alpha*sigma_k)/(sigma_k+alpha*sigma_{k-1}),
-    1 <= k <= n-1.
+    """Sum-type quotient q_k = Q_S^{k+1} / Q_S^k, Q_S^k = sigma_k + alpha*sigma_{k-1},
+    1 <= k <= n-1, alpha >= 0.
 
     Default domain Gamma_k; pass e.g. Gamma_{k+1} to test the smaller domain.
     """
     if not 1 <= k <= n - 1:
         raise DomainError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     a = float(alpha)
-
-    def batch(pts):
-        e = sigma_all_batch(pts, k + 1)
-        return (e[..., k + 1] + a * e[..., k]) / (e[..., k] + a * e[..., k - 1])
-
-    return ScalarField(
-        name=f"q_{k}[alpha={alpha}]",
-        n=n,
-        domain=domain or ConeSpec("garding", n, k),
-        batch_fn=batch,
-    )
+    return _ratio_field(f"q_{k}[alpha={alpha}]", n, domain or ConeSpec("garding", n, k),
+                        OperatorSpec.sum_type(n, k + 1, a), OperatorSpec.sum_type(n, k, a))
 
 
 def sigma_over_q_field(n, k, alpha):
-    """sigma_k / (sigma_k + alpha*sigma_{k-1}) on the admissible cone Gamma~_k."""
-    a = float(alpha)
-
-    def batch(pts):
-        e = sigma_all_batch(pts, k)
-        return e[..., k] / (e[..., k] + a * e[..., k - 1])
-
-    return ScalarField(
-        name=f"sigma_{k}/Q_S^{k}[alpha={alpha}]",
-        n=n,
-        domain=ConeSpec("tilde", n, k, alpha),
-        batch_fn=batch,
-    )
+    """sigma_k / Q_S^k on the admissible cone Gamma~_k."""
+    return _ratio_field(f"sigma_{k}/Q_S^{k}[alpha={alpha}]", n, ConeSpec("tilde", n, k, alpha),
+                        OperatorSpec.sum_type(n, k), OperatorSpec.sum_type(n, k, float(alpha)))
 
 
 def sum_ratio_field(n, k, l, alpha):
@@ -157,58 +156,30 @@ def sum_ratio_field(n, k, l, alpha):
     if not 1 <= l < k:
         raise DomainError(f"need 1 <= l < k, got l={l}, k={k}")
     a = float(alpha)
-    power = 1.0 / (k - l)
-
-    def batch(pts):
-        e = sigma_all_batch(pts, k)
-        return ((e[..., k] + a * e[..., k - 1]) / (e[..., l] + a * e[..., l - 1])) ** power
-
-    return ScalarField(
-        name=f"(Q_S^{k}/Q_S^{l})^(1/{k - l})[alpha={alpha}]",
-        n=n,
-        domain=ConeSpec("tilde", n, k, alpha),
-        batch_fn=batch,
-    )
+    return _ratio_field(f"(Q_S^{k}/Q_S^{l})^(1/{k - l})[alpha={alpha}]", n,
+                        ConeSpec("tilde", n, k, alpha), OperatorSpec.sum_type(n, k, a),
+                        OperatorSpec.sum_type(n, l, a), 1.0 / (k - l))
 
 
 def sum_root_field(n, k, alpha):
     """(Q_S^k)^(1/k) on Gamma~_k."""
-    a = float(alpha)
-
-    def batch(pts):
-        e = sigma_all_batch(pts, k)
-        return (e[..., k] + a * e[..., k - 1]) ** (1.0 / k)
-
-    return ScalarField(
-        name=f"(Q_S^{k})^(1/{k})[alpha={alpha}]",
-        n=n,
-        domain=ConeSpec("tilde", n, k, alpha),
-        batch_fn=batch,
-    )
+    return _ratio_field(f"(Q_S^{k})^(1/{k})[alpha={alpha}]", n, ConeSpec("tilde", n, k, alpha),
+                        OperatorSpec.sum_type(n, k, float(alpha)), power=1.0 / k)
 
 
 def root_q_field(op):
     """Q^(1/k) on Gamma_k."""
-    return ScalarField(
-        name=f"Q^(1/{op.k})",
-        n=op.n,
-        domain=ConeSpec("garding", op.n, op.k),
-        batch_fn=lambda pts: q_eval_batch(op, pts) ** (1.0 / op.k),
-    )
+    return _ratio_field(f"Q^(1/{op.k})", op.n, ConeSpec("garding", op.n, op.k), op,
+                        power=1.0 / op.k)
 
 
 def lower_quotient_field(op, lower):
     """(Q / Q^{N'}_l)^(1/(k-l)) on Gamma_k for a derived lower operator."""
     if not isinstance(lower, LowerOperatorSpec):
         raise DomainError("lower must be a LowerOperatorSpec from combop.lower_operator")
-    low_op = lower.as_operator()
-    power = 1.0 / (op.k - lower.l)
-    return ScalarField(
-        name=f"(Q/Q^{lower.n_prime}_{lower.l})^(1/{op.k - lower.l})",
-        n=op.n,
-        domain=ConeSpec("garding", op.n, op.k),
-        batch_fn=lambda pts: (q_eval_batch(op, pts) / q_eval_batch(low_op, pts)) ** power,
-    )
+    return _ratio_field(f"(Q/Q^{lower.n_prime}_{lower.l})^(1/{op.k - lower.l})", op.n,
+                        ConeSpec("garding", op.n, op.k), op, lower.as_operator(),
+                        1.0 / (op.k - lower.l))
 
 
 # ---------------------------------------------------------------------------

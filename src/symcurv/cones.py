@@ -32,7 +32,7 @@ from math import comb
 import numpy as np
 
 from .errors import DomainError, SamplingError
-from .symfun import as_tuple, _entry_major, _sigma_rows
+from .symfun import Jet, as_tuple, _entry_major, _sigma_rows
 from . import combop
 
 __all__ = [
@@ -487,8 +487,8 @@ def _grad_scale(op, points):
 
 
 def ellipticity_scan(op, spec, trials, seed, tol=DEFAULT_TOL):
-    """Worst normalized min_i Q^{ii} over cone samples; a trial the sampler
-    finds no point for is skipped."""
+    """Worst normalized min_i Q^{ii} (Q's jet along e_i) over cone samples;
+    a trial the sampler finds no point for is skipped."""
     worst = np.inf
     witness = None
     evaluated = 0
@@ -498,7 +498,8 @@ def ellipticity_scan(op, spec, trials, seed, tol=DEFAULT_TOL):
         evaluated += lam.shape[0]
         if not lam.shape[0]:
             continue
-        values = combop.q_grad_batch(op, lam).min(axis=-1) / _grad_scale(op, lam)
+        grad = combop.q_eval_batch(op, Jet.of(lam[:, None], np.eye(op.n), 0.0)).c[1]
+        values = grad.min(axis=-1) / _grad_scale(op, lam)
         i = int(np.argmin(values))
         if values[i] < worst:
             worst = float(values[i])

@@ -590,43 +590,41 @@ def newton_solve(initial, op, psi, opts=None, _handoff=None):
         if norm <= tol:   # F = -U mu: psi is obstructed, no solution up to translation
             raise ConvergenceError(f"gauge multiplier |mu| = {np.max(np.abs(mu)):.3e} > tol",
                                    last_surface=RadialSurfaceField(rho, grid), diagnostics=diag)
-        diag.residual_evals.append(0)
-        jacobian_s = linsolve_s = line_search_s = 0.0
+        diag.residual_evals.append(0)   # this step's record: times add into [-1]
+        diag.jacobian_s.append(0.0)
+        diag.linsolve_s.append(0.0)
+        diag.line_search_s.append(0.0)
         accepted, scale, halving = None, 1.0, 0
         if contracted:   # chord step with the factor in hand
             t0 = perf_counter()
             step = lu.solve(-full)
             t1 = perf_counter()
             accepted = candidate(step, 1.0, _CHORD_THETA * norm)
-            linsolve_s, line_search_s = t1 - t0, perf_counter() - t1
+            diag.linsolve_s[-1] += t1 - t0
+            diag.line_search_s[-1] += perf_counter() - t1
         diag.factored.append(accepted is None)
         if accepted is None:
             t0 = perf_counter()
             jac = _jacobian(rho, grid, op, psi, pat)
             t1 = perf_counter()
-            jacobian_s = t1 - t0
+            diag.jacobian_s[-1] += t1 - t0
             diag.residual_evals[-1] += 6
             try:
                 lu = scipy.sparse.linalg.splu(jac, permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
-                diag.jacobian_s.append(jacobian_s)
-                diag.linsolve_s.append(linsolve_s + perf_counter() - t1)
-                diag.line_search_s.append(line_search_s)
+                diag.linsolve_s[-1] += perf_counter() - t1
                 raise ConvergenceError(f"singular Jacobian: {exc}",
                                        last_surface=RadialSurfaceField(rho, grid),
                                        diagnostics=diag) from None
             step = lu.solve(-full)
             t2 = perf_counter()
-            linsolve_s += t2 - t1
+            diag.linsolve_s[-1] += t2 - t1
             for halving in range(opts.max_halvings + 1):
                 accepted = candidate(step, scale, norm)
                 if accepted is not None:
                     break
                 scale *= 0.5
-            line_search_s += perf_counter() - t2
-        diag.jacobian_s.append(jacobian_s)
-        diag.linsolve_s.append(linsolve_s)
-        diag.line_search_s.append(line_search_s)
+            diag.line_search_s[-1] += perf_counter() - t2
         if accepted is None:
             raise ConvergenceError(
                 f"line search failed after {opts.max_halvings} halvings "

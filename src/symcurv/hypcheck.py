@@ -114,7 +114,8 @@ def _float_roots(p):
     """numpy's roots of p after t = 2^e s, e from the coefficients' bit
     lengths, so neither coefficients nor roots overflow or underflow; the
     roots are scaled back by 2^e exactly; DomainError if the scaled lead
-    or lowest term underflows to 0."""
+    or lowest term underflows to 0, or if undoing 2^e does not give numpy's
+    root back (a root part overflows, or underflows past float range)."""
     d, j = len(p) - 1, next(i for i, c in enumerate(p) if c)
     e = round((abs(p[j]).bit_length() - abs(p[d]).bit_length()) / (d - j)) if d > j else 0
     q = [c << e * m if e >= 0 else c << -e * (d - m) for m, c in enumerate(p)]
@@ -123,7 +124,10 @@ def _float_roots(p):
     if desc[0] == 0 or desc[d - j] == 0:
         raise DomainError("coefficients span beyond float range; roots not computable")
     raw = _companion_roots(desc)
-    return np.ldexp(raw.real, e) + 1j * np.ldexp(raw.imag, e)
+    re, im = np.ldexp(raw.real, e), np.ldexp(raw.imag, e)
+    if e and not ((np.ldexp(re, -e) == raw.real).all() and (np.ldexp(im, -e) == raw.imag).all()):
+        raise DomainError("a root lies beyond float range; roots not computable")
+    return re + 1j * im
 
 
 @dataclass(frozen=True)

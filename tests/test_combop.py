@@ -2,7 +2,9 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from oracles import elem_sym_enumerate
 
 from symcurv import combop, hypcheck, symfun
 from symcurv.combop import OperatorSpec, PolyCoeffs
@@ -42,6 +44,43 @@ def test_q_grad_hess_examples():
     h = combop.q_hess(op, (1.5, -0.5, 2.0))
     assert all(h[i][i] == 0 for i in range(3))
     assert all(h[i][j] == h[j][i] for i in range(3) for j in range(3))
+
+
+_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_q_eval_grad_hess_equal_enumerated_sums(data):
+    # Q, Q^{ii} and Q^{pp,qq} against subset enumeration of lam, lam|i, lam|pq
+    n = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, n))
+    lam = data.draw(st.lists(_fractions, min_size=n, max_size=n))
+    alphas = data.draw(st.lists(st.fractions(min_value=0, max_value=4, max_denominator=5),
+                                min_size=k, max_size=k)) + [F(1)]
+    op = OperatorSpec(n, k, tuple(alphas))
+
+    def brute(values, shift):
+        return sum(a * elem_sym_enumerate(values, s - shift)
+                   for s, a in enumerate(op.alphas) if s >= shift)
+
+    assert combop.q_eval(op, lam) == brute(lam, 0)
+    assert combop.q_grad(op, lam) == [brute(lam[:i] + lam[i + 1:], 1) for i in range(n)]
+    hess = combop.q_hess(op, lam)
+    for p in range(n):
+        for q in range(n):
+            rest = [x for i, x in enumerate(lam) if i not in (p, q)]
+            assert hess[p][q] == (0 if p == q else brute(rest, 2))
+
+
+def test_q_hess_zero_diagonal_has_the_coefficients_type():
+    lam = (1, 2, 3)
+    # the sum of alpha_s * 0 over the nonzero alpha_s, s >= 2
+    assert type(combop.q_hess(OperatorSpec(3, 3, (0, 0, F(1, 2), 1)), lam)[0][0]) is F
+    assert type(combop.q_hess(OperatorSpec(3, 2, (0, 0, 2)), lam)[0][0]) is F
+    assert type(combop.q_hess(OperatorSpec(3, 3, (0, 0, 0.5, 1)), lam)[0][0]) is float
+    assert type(combop.q_hess(OperatorSpec(3, 3, (0, 0.5, 0.0, 1)), lam)[0][0]) is int
+    assert type(combop.q_hess(OperatorSpec(3, 1, (1, 1)), lam)[1][1]) is int
 
 
 def test_q_grad_matches_finite_differences():

@@ -161,10 +161,52 @@ def test_catalog_field_call_is_values_on_one_row():
             fld(np.ones(fld.n + 1))
 
 
+def _closed_forms():
+    """(field, its kernel written out from sigma_all_batch slices)."""
+    e = symfun.sigma_all_batch
+
+    def coeffs(op):
+        return np.array([float(a) for a in op.alphas])
+
+    for n, k in ((3, 2), (4, 2), (4, 3), (5, 3)):
+        for a in (0.0, 0.5, 2.0):
+            yield (concave.quotient_qk_field(n, k, a), lambda x, k=k, a=a: (
+                (e(x, k + 1)[..., k + 1] + a * e(x, k + 1)[..., k])
+                / (e(x, k + 1)[..., k] + a * e(x, k + 1)[..., k - 1])))
+            yield (concave.sigma_over_q_field(n, k, a), lambda x, k=k, a=a: (
+                e(x, k)[..., k] / (e(x, k)[..., k] + a * e(x, k)[..., k - 1])))
+            yield (concave.sum_root_field(n, k, a), lambda x, k=k, a=a: (
+                (e(x, k)[..., k] + a * e(x, k)[..., k - 1]) ** (1.0 / k)))
+            for l in range(1, k):
+                yield (concave.sum_ratio_field(n, k, l, a), lambda x, k=k, l=l, a=a: (
+                    ((e(x, k)[..., k] + a * e(x, k)[..., k - 1])
+                     / (e(x, k)[..., l] + a * e(x, k)[..., l - 1])) ** (1.0 / (k - l))))
+            op = OperatorSpec.sum_type(n, k, F(a).limit_denominator(10))
+            yield (concave.root_q_field(op), lambda x, op=op: (
+                (e(x, op.k) @ coeffs(op)) ** (1.0 / op.k)))
+            rep = hypcheck.check_condition_c(op)
+            for l in range(1, k):
+                low = lower_operator(op, rep.witness, l, rep.N)
+                yield (concave.lower_quotient_field(op, low), lambda x, op=op, low=low: (
+                    ((e(x, op.k) @ coeffs(op)) / (e(x, low.l) @ coeffs(low.as_operator())))
+                    ** (1.0 / (op.k - low.l))))
+
+
+def test_catalog_fields_equal_their_closed_forms_bit_for_bit():
+    rng = np.random.default_rng(20)
+    for fld, closed in _closed_forms():
+        x = np.array(cones.sample_cone(fld.domain, 40, seed=3))
+        jet = Jet.of(x, rng.normal(size=x.shape), 0.0)
+        assert fld.values(x).tobytes() == closed(x).tobytes(), fld.name
+        assert fld.jet(jet).c.tobytes() == closed(jet).c.tobytes(), fld.name
+
+
 def test_quotient_field_rejects_k_out_of_range():
     for n, k in ((3, 3), (3, 0), (4, 5)):
         with pytest.raises(DomainError):
             concave.quotient_qk_field(n, k, 1.0)
+    with pytest.raises(DomainError):
+        concave.quotient_qk_field(4, 2, -1.0)
 
 
 def test_scan_requires_domain():

@@ -328,8 +328,13 @@ def test_newton_singular_jacobian_raises(monkeypatch):
     with pytest.raises(ConvergenceError, match="singular Jacobian") as err:
         gs.newton_solve(initial, OP, gs.PsiSpec("constant", c=1.25))
     assert np.array_equal(err.value.last_surface.rho, initial.rho)
-    assert err.value.diagnostics.n_iter == 1
-    assert not err.value.diagnostics.converged
+    diag = err.value.diagnostics
+    assert diag.n_iter == 1
+    assert not diag.converged
+    # the failed step is recorded once in each per-step list
+    assert diag.residual_evals == [6] and diag.factored == [True]
+    assert len(diag.jacobian_s) == len(diag.linsolve_s) == 1
+    assert diag.line_search_s == [0.0]
 
 
 def test_newton_step_solves_the_linear_system_at_128x64(monkeypatch):

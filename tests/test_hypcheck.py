@@ -119,6 +119,23 @@ def test_coefficient_span_beyond_float_range_raises():
         hypcheck.real_rooted([2**5000, 1, 2**5000, 1])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflow of the first row or 2^e
+@pytest.mark.parametrize("coeffs, mode", [
+    # the companion matrix's first row overflows (roots near 1 and 2^-3000;
+    # 1e300 t^0 + 1e-300 t^2), where numpy raised LinAlgError
+    ([1, -(2**3000), 2**3000], "exact"),
+    ([1e300, 0, 1e-300], "numeric"),
+    # roots +-2^-2500 i and +-2^2500 i: scaling back by 2^e underflows the
+    # imaginary parts to 0 or overflows them, where the witness came out
+    # (0j, -0j) or (nan+infj, nan-infj)
+    ([1, 0, 2**5000], "exact"),
+    ([2**5000, 0, 1], "exact"),
+])
+def test_roots_beyond_float_range_raise(coeffs, mode):
+    with pytest.raises(DomainError, match="beyond float range"):
+        hypcheck.real_rooted(coeffs, mode=mode)
+
+
 # up to degree 12: products of linear factors (repeated ones included),
 # the same times a complex quadratic, and free integer polynomials
 _products_st = st.tuples(_linear_st, _quadratic_st).filter(
