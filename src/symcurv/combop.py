@@ -4,8 +4,8 @@ Operators are normalized so the top coefficient is 1 (exactly, when the
 given coefficients are exact).  Q, Q^{ii} and Q^{pp,qq} are one exact sum
 sum_s c_s sigma_s over lam, lam|i and lam|pq with c = alphas, alphas[1:] and
 alphas[2:], one product-recurrence pass each.  Univariate profiles
-t -> Q(a*t + x) are expanded through the mixed forms sigma_{l,m-l}(a, x),
-which keeps the coefficients exact for exact inputs.
+t -> Q(a*t + x) are read from one symfun.profile_table of the mixed forms
+sigma_{l,m-l}(a, x), exact for exact inputs.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ from math import factorial
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .symfun import _sigmas_of, as_tuple, polarized_sigma, sigma_all, sigma_all_batch
+from .symfun import _sigmas_of, as_tuple, profile_table, sigma_all, sigma_all_batch
 
 __all__ = [
     "OperatorSpec",
@@ -179,29 +179,31 @@ class PolyCoeffs:
 def shifted_profile(op, x, a):
     """Coefficients of t -> Q(a*t + x), exact for exact inputs.
 
-    Coefficient of t^l is sum_{m>=l} alpha_m * sigma_{l,m-l}(a, x).  The
-    degree is op.k when sigma_k(a) != 0; otherwise the profile degenerates
-    and the returned polynomial has smaller degree (reported by .degree,
-    not an error).
+    Coefficient of t^l is sum_{m>=l} alpha_m * sigma_{l,m-l}(a, x), all read
+    from one symfun.profile_table of p = x, d = a.  The degree is op.k when
+    sigma_k(a) != 0; otherwise the profile degenerates and the returned
+    polynomial has smaller degree (reported by .degree, not an error).  On
+    float input a leading coefficient at most 1e-13 times its rounding
+    scale, the same coefficient over |x| and |a|, is dust and dropped.
     """
     xv = as_tuple(x)
     av = as_tuple(a)
     _check_dim(op, xv)
     _check_dim(op, av)
-    coeffs = []
-    for l in range(op.k + 1):
-        c = 0
-        for m in range(l, op.k + 1):
-            if op.alphas[m] != 0:
-                c = c + op.alphas[m] * polarized_sigma(av, xv, l, m)
-        coeffs.append(c)
-    # strip float dust in the leading coefficients (exact zeros strip in PolyCoeffs)
+    p, d = np.array([xv], dtype=object), np.array([av], dtype=object)
+    if any(isinstance(v, (float, np.floating)) for v in xv + av + op.alphas):
+        # a second row, over the magnitudes (the alphas are nonnegative),
+        # gives each coefficient's rounding scale
+        p, d = np.vstack([p, np.abs(p)]), np.vstack([d, np.abs(d)])
+    table = profile_table(p, d, op.k)
+    rows = [sum((a * table[m, j] for m, a in enumerate(op.alphas) if m >= j and a != 0), 0)
+            for j in range(op.k + 1)]
+    coeffs = [c[0] for c in rows]
     if any(isinstance(c, (float, np.floating)) for c in coeffs):
-        top = max(abs(float(c)) for c in coeffs)
-        d = len(coeffs) - 1
-        while d > 0 and abs(float(coeffs[d])) <= 1e-13 * top:
-            coeffs[d] = 0
-            d -= 1
+        top = len(coeffs) - 1
+        while top > 0 and abs(float(coeffs[top])) <= 1e-13 * float(rows[top][1]):
+            coeffs[top] = 0
+            top -= 1
     return PolyCoeffs(tuple(coeffs))
 
 

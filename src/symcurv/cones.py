@@ -1,6 +1,7 @@
 """Membership, sampling and randomized verification for the cones Gamma_k
 (all sigma_m > 0 up to k) and the admissible cone Gamma~_k
-(Gamma_{k-1} intersected with {alpha*sigma_{k-1} + sigma_k > 0}).
+(Gamma_{k-1} intersected with {alpha*sigma_{k-1} + sigma_k > 0}), the
+Garding cones of sigma_k and of sigma_k(lam, alpha) in n+1 entries.
 
 Strict inequalities are tested against dimension-aware scales: sigma_m is
 compared with tol * C(n,m) * max|lam_i|^m.
@@ -32,7 +33,7 @@ from math import comb
 import numpy as np
 
 from .errors import DomainError, SamplingError
-from .symfun import Jet, as_tuple, _entry_major, _sigma_rows
+from .symfun import Jet, as_tuple, profile_table, _entry_major, _sigma_rows
 from . import combop
 
 __all__ = [
@@ -221,14 +222,7 @@ def cone_margins_batch(spec, points):
     return out
 
 
-# the boundary ladder: position j of a segment p -> v is the blend
-# (1 - L[j]) p + L[j] v; position 0 is p itself, 1..48 step to v evenly
-_LADDER = np.concatenate([[0.0], np.linspace(1.0 / 48, 1.0, 48)])
-_COARSE = np.arange(8, 49, 8)  # level one: every 8th position
-_COARSE_BLEND = (1.0 - _LADDER[_COARSE, None], _LADDER[_COARSE, None])
-_FINE = np.arange(1, 8)        # level two: the 7 positions after level one's
-_SKIPPED = np.setdiff1d(np.arange(9, 48), _COARSE)  # past 8, not on level one
-_LADDER_INSIDE = 0.999 * _LADDER  # a candidate's blend parameter is at most this
+_GRID = np.arange(1.0, 49.0)  # each level of the exit search: 48 steps up its bracket
 _MAX_TRIES = 200
 _BOUNDARY_BIAS = 0.8  # share of a trial's tries mixed toward the boundary
 _TRY_GROUP = 8  # a trial's sampler tries are drawn in groups of this many
@@ -249,51 +243,41 @@ def _one_negative(n):
     return signs
 
 
-def _ladder_top(spec, p, v):
-    """The ladder position, per row, that approximates the boundary from
-    inside along the segment p -> v (rows of p, v): 0 when no ladder
-    point is feasible (margin > tol).
+def _segment_exit(spec, p, v):
+    """Per row of p, v (p positive, v with one negative entry), the last
+    point before the first s in (0, 1] where the cone's own polynomial
+    c(s) = sigma_k(p + s(v - p)), plus alpha*sigma_{k-1} for Gamma~_k, is
+    <= 0, on the finest of three nested 48-point grids; 1 where c stays
+    positive on the first grid.
 
-    The feasible blend parameters form an interval (the feasible set is
-    convex), so in exact arithmetic the feasible ladder positions are a
-    run.  The run starts at position 1 when p is feasible; when p is not
-    (its margin is at most tol, as when its entries span several decades)
-    the run can start later, or lie between two positions of level one.
-    Level one evaluates every 8th position and keeps the last feasible
-    one; level two evaluates the 7 positions after it (on the rows where
-    level one stopped short of the end) and keeps the last feasible one
-    there: at most 13 points in 2 calls.  A row that has found none by
-    then evaluates the 35 positions past 8 that level one skipped, so a
-    run lying between two positions of level one is not missed.  On a row
-    whose feasible positions form a run, the result is the largest
-    feasible position.  On a row made non-monotone by rounding it is a feasible
-    position whose successor is infeasible or past the end."""
-    p, v = p[:, None, :], v[:, None, :]
-    rest, lam = _COARSE_BLEND
-    top = ((cone_margins_batch(spec, rest * p + lam * v) > spec.tol) * _COARSE).max(axis=1)
-    short = (top < _COARSE[-1]).nonzero()[0]
-    if short.size:
-        fine = top[short, None] + _FINE
-        lam = _LADDER[fine][..., None]
-        ok = cone_margins_batch(spec, (1.0 - lam) * p[short] + lam * v[short]) > spec.tol
-        top[short] = np.maximum((ok * fine).max(axis=1), top[short])
-    none = (top == 0).nonzero()[0]
-    if none.size:
-        lam = _LADDER[_SKIPPED, None]
-        ok = cone_margins_batch(spec, (1.0 - lam) * p[none] + lam * v[none]) > spec.tol
-        top[none] = (ok * _SKIPPED).max(axis=1)
-    return top
+    On the segment (at most one negative entry) c > 0 holds exactly inside
+    the cone (Garding, J. Math. Mech. 8, 1959).  The first grid brackets
+    the first failing point and two more each refine the bracket 48-fold,
+    to 48^-3.  The top of a refined bracket failed one level up and counts
+    as failing again, so rounding in c moves the result by about a cell."""
+    table = profile_table(p, v - p, spec.k)
+    c = table[-1] + (float(spec.alpha) if spec.kind == "tilde" else 0.0) * table[-2]
+    exit_ = np.zeros(len(p))
+    rows = np.arange(len(p))
+    step = 1.0 / 48
+    for level in range(3):
+        s = exit_[rows, None] + step * _GRID
+        bad = np.polynomial.polynomial.polyval(s, c[:, rows, None], tensor=False) <= 0.0
+        bad[:, -1] |= level > 0
+        inside = np.where(bad.any(axis=1), bad.argmax(axis=1), 48)
+        exit_[rows] += step * inside
+        rows = rows[inside < 48]
+        step /= 48
+    return exit_
 
 
 def _candidates(spec, u, mixed):
     """One try per row of uniforms u (m, >= 2n+3): a positive-orthant draw
     p, and where the boolean mask `mixed` is set, a point mixed toward a
     direction v with one negative entry and pulled back just inside the
-    boundary: a random fraction of the way to the ladder position that
-    _ladder_top finds on p -> v (two levels, at most 13 margins, and 35
-    more on a row where those find none; the largest feasible position
-    when the feasible positions form a run, a feasible one with an
-    infeasible successor on a ladder that rounding made non-monotone)."""
+    boundary: the blend at t = 0.999 * e * w^(1/4) of p -> v, with e where
+    p -> v leaves the cone (_segment_exit) and w uniform.  Every try still
+    passes the margin check, so a rounding error in e can only reject it."""
     n = spec.n
     # p = u[:, :n] and v = u[:, n+1:2n+1] mapped to magnitudes in one step
     pv = 10.0 ** (_MAG_LO + (_MAG_HI - _MAG_LO) * u[:, : 2 * n + 1])
@@ -304,7 +288,7 @@ def _candidates(spec, u, mixed):
         p = pvm[:, :n]
         # the negative entry: floor(w0 n), kept below n against rounding
         v = _one_negative(n)[np.minimum((w[:, 0] * n).astype(int), n - 1)] * pvm[:, n + 1:]
-        t = (_LADDER_INSIDE[_ladder_top(spec, p, v)] * w[:, 1] ** 0.25)[:, None]
+        t = (0.999 * _segment_exit(spec, p, v) * w[:, 1] ** 0.25)[:, None]
         cand[rows] = (1.0 - t) * p + t * v
     return cand
 
@@ -390,8 +374,9 @@ def sample_cone(spec, count, seed, min_margin=0.0):
     """count verified cone points, deterministic in seed.
 
     Magnitudes are log-uniform in [1e-2, 1e2]; 80% of the draws are mixed
-    toward a vector with one negative entry so that Gamma~_k samples
-    populate the sigma_k < 0 region.  Draws with a margin below
+    toward a vector with one negative entry, a random fraction of the way
+    to where that segment leaves the cone (_candidates), so that Gamma~_k
+    samples populate the sigma_k < 0 region.  Draws with a margin below
     max(min_margin, spec.tol) are rejected; a trial that finds no point in
     200 tries is replaced by the next trial index after count, and
     SamplingError is raised once the empty trials outnumber the points

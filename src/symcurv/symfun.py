@@ -26,6 +26,7 @@ __all__ = [
     "sigma_grad",
     "sigma_hess",
     "polarized_sigma",
+    "profile_table",
     "newton_maclaurin_gap",
     "matrix_symfun_second_derivative",
     "delete_entries",
@@ -123,6 +124,31 @@ def sigma_hess(lam, k):
     return hess
 
 
+def profile_table(p, d, k):
+    """Coefficients of prod_i (1 + x*(p_i + s*d_i)) up to x^k for each row
+    of the (rows, n) arrays p and d: shape (k+1, k+1, rows), entry [m, j]
+    the coefficient of x^m s^j (0 for j > m), the sum of p_I d_J over
+    disjoint index sets with |I| = m - j and |J| = j.  Row m holds the
+    coefficients in s of sigma_m(p + s*d), constant first.  Float arrays
+    give a float table; object arrays (ints, Fractions, floats) one in
+    Python arithmetic, exact for exact entries."""
+    p, d = np.asarray(p), np.asarray(d)
+    # u[a, b]: the terms with a entries of p and b of d
+    u = np.zeros((k + 1, k + 1) + p.shape[:1], dtype=p.dtype)
+    u[0, 0] = 1
+    for i, (pi, di) in enumerate(zip(p.T, d.T)):
+        # after i factors only entries with a + b <= i are nonzero; both
+        # products read the previous factor's table
+        top = min(i + 1, k)
+        from_p, from_d = pi * u[:top, :top + 1], di * u[:top + 1, :top]
+        u[1:top + 1, :top + 1] += from_p
+        u[:top + 1, 1:top + 1] += from_d
+    m, j = np.tril_indices(k + 1)
+    table = np.zeros_like(u)
+    table[m, j] = u[m - j, j]
+    return table
+
+
 def polarized_sigma(lam, mu, l, k):
     """Mixed form sigma_{l,k-l}(lam, mu): sum over disjoint index sets.
 
@@ -132,7 +158,8 @@ def polarized_sigma(lam, mu, l, k):
 
         sigma_k(t*lam + (1-t)*mu) = sum_l t^l (1-t)^(k-l) sigma_{l,k-l}(lam, mu)
 
-    Computed as the coefficient of s^l u^(k-l) in prod_i (1 + s*lam_i + u*mu_i).
+    Read from profile_table with p = mu and d = lam: the coefficient of
+    x^k s^l in prod_i (1 + x*(mu_i + s*lam_i)).
     """
     a = as_tuple(lam)
     b = as_tuple(mu)
@@ -141,22 +168,7 @@ def polarized_sigma(lam, mu, l, k):
         raise DomainError(f"dimension mismatch: {n} vs {len(b)}")
     if not (0 <= l <= k <= n):
         raise DomainError(f"need 0 <= l <= k <= n, got l={l}, k={k}, n={n}")
-    r = k - l
-    # table[p][q] = coefficient of s^p u^q, updated one factor at a time
-    table = [[0] * (r + 1) for _ in range(l + 1)]
-    table[0][0] = 1
-    for i in range(n):
-        ai, bi = a[i], b[i]
-        for p in range(min(i + 1, l), -1, -1):
-            for q in range(min(i + 1 - p, r), -1, -1):
-                acc = 0
-                if p > 0:
-                    acc = acc + ai * table[p - 1][q]
-                if q > 0:
-                    acc = acc + bi * table[p][q - 1]
-                if p or q:
-                    table[p][q] = table[p][q] + acc
-    return table[l][r]
+    return profile_table(np.array([b], dtype=object), np.array([a], dtype=object), k)[k, l, 0]
 
 
 def newton_maclaurin_gap(lam, k):

@@ -266,18 +266,73 @@ def full_chain_real_rooted(coeffs):
     return h.RealRootedResult(True, "exact", roots=tuple(sorted(roots)))
 
 
-def ladder_top_full(spec, p, v):
-    """The sampler's boundary ladder evaluated at all 48 points: per row of
-    p, v (m, n), the largest position j in 1..48 whose blend
-    (1 - L_j) p + L_j v, L = linspace(1/48, 1, 48), has cone margin > tol;
-    0 when none has.  Margins come from cone_margins_batch, so only the
-    search along the ladder differs from the sampler's."""
-    from symcurv.cones import cone_margins_batch
+def _roots_rows(poly):
+    """Roots of each row's polynomial (rows, deg+1), constant first, padded
+    with nan: eigenvalues of the stacked companion matrices np.roots
+    builds, np.roots itself on a row whose leading coefficient is 0."""
+    rows, deg = poly.shape[0], poly.shape[1] - 1
+    out = np.full((rows, deg), np.nan, dtype=complex)
+    full = poly[:, -1] != 0.0
+    comp = np.zeros((int(full.sum()), deg, deg))
+    comp[:, 1:, :-1] = np.eye(deg - 1)
+    comp[:, 0] = -poly[full, -2::-1] / poly[full, -1:]
+    out[full] = np.linalg.eigvals(comp)
+    for r in np.flatnonzero(~full):
+        roots = np.roots(poly[r, ::-1])
+        out[r, : roots.size] = roots
+    return out
 
-    ladder = np.linspace(1.0 / 48, 1.0, 48)
-    feasible = np.stack([cone_margins_batch(spec, (1.0 - lam) * p + lam * v) > spec.tol
-                         for lam in ladder], axis=1)
-    return np.where(feasible.any(axis=1), 48 - np.argmax(feasible[:, ::-1], axis=1), 0)
+
+def cone_exit_roots(spec, p, v):
+    """Per row of p, v (m, n): the smallest real root r in (0, 1] over all
+    the cone's defining polynomials along s -> p + s (v - p) (sigma_1..sigma_k
+    for Gamma_k; sigma_1..sigma_{k-1} and alpha sigma_{k-1} + sigma_k for
+    Gamma~_k), inf where none has one; and whether r is simple in a sense
+    float64 resolves: 2^-40 |f|(r) / |f'(r)| < 1e-7, with f its polynomial
+    and |f| the same expansion over |p|, |v - p| and alpha (a bound on
+    f's rounding error, so that f's float sign is right outside that
+    distance of r).
+
+    The coefficients in s come from the product expansion of
+    prod_i (1 + x (p_i + s d_i)), written out here over a (rows, k+1, k+1)
+    array, and the roots from numpy's companion-matrix eigenvalues per row,
+    polished by two Newton steps; no grid search and no reduction to one
+    polynomial is shared with the sampler."""
+    p = np.asarray(p, float)
+    d = np.asarray(v, float) - p
+    rows, k = p.shape[0], spec.k
+
+    def expansion(p, d):
+        coef = np.zeros((rows, k + 1, k + 1))  # [row, m, j]: x^m s^j
+        coef[:, 0, 0] = 1.0
+        for i in range(p.shape[1]):
+            old = coef.copy()
+            coef[:, 1:, :] += p[:, i, None, None] * old[:, :-1, :]
+            coef[:, 1:, 1:] += d[:, i, None, None] * old[:, :-1, :-1]
+        polys = [coef[:, m, : m + 1] for m in range(1, k + 1)]
+        if spec.kind == "tilde":
+            polys[-1] = polys[-1] + np.pad(spec.alpha * coef[:, k - 1, :k], ((0, 0), (0, 1)))
+        return polys
+
+    def value(poly, s):
+        return sum(c * s**j for j, c in enumerate(poly.T))
+
+    best = np.full(rows, np.inf)
+    simple = np.zeros(rows, dtype=bool)
+    for poly, size in zip(expansion(p, d), expansion(np.abs(p), np.abs(d))):
+        roots = _roots_rows(poly)
+        real = (np.abs(roots.imag) <= 1e-6) & (roots.real > 0.0) & (roots.real <= 1.0)
+        rows_in = np.flatnonzero(real.any(axis=1))
+        poly, size = poly[rows_in], size[rows_in]
+        deriv = poly[:, 1:] * np.arange(1, poly.shape[1])
+        r = np.where(real[rows_in], roots[rows_in].real, np.inf).min(axis=1)
+        for _ in range(2):
+            r = r - value(poly, r) / value(deriv, r)
+        first = r < best[rows_in]
+        best[rows_in[first]] = r[first]
+        with np.errstate(divide="ignore"):
+            simple[rows_in[first]] = (2.0**-40 * value(size, r) / np.abs(value(deriv, r)))[first] < 1e-7
+    return best, simple
 
 
 def write_csv_rows(path, header, rows):

@@ -154,6 +154,38 @@ def test_shifted_profile_exactness_and_degree_drop():
     assert p_drop.degree < 2
 
 
+def test_shifted_profile_keeps_a_small_leading_coefficient():
+    # (1 + 1e-5 t)^3: every coefficient is exact up to rounding, the leading
+    # one 1e-15 is no dust beside the constant 1 (a triple root at -1e5)
+    p = combop.shifted_profile(OperatorSpec.sum_type(3, 3, 0), (1.0,) * 3, (1e-5,) * 3)
+    assert p.degree == 3
+    assert p.coeffs == pytest.approx((1.0, 3e-5, 3e-10, 1e-15), rel=1e-12)
+    assert combop.profile_roots(p) == pytest.approx([-1e5] * 3, rel=1e-3)
+    # dust is still dropped: sigma_1(a) cancels to 5.6e-17 for a = (0.1, 0.2, -0.3)
+    dust = combop.shifted_profile(OperatorSpec(3, 1, (0, 1)), (1.0, 2.0, 3.0), (0.1, 0.2, -0.3))
+    assert dust.degree == 0
+
+
+def test_shifted_profile_matches_mixed_forms_exactly():
+    # coefficient l is sum_m alpha_m sigma_{l,m-l}(a, x), summed in
+    # increasing m over the nonzero alphas: values and types
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        n = int(rng.integers(1, 6))
+        k = int(rng.integers(1, n + 1))
+        x = tuple(F(int(rng.integers(-9, 10)), int(rng.integers(1, 5))) for _ in range(n))
+        a = tuple(int(v) for v in rng.integers(-3, 4, n))
+        alphas = tuple(F(int(v), 2) for v in rng.integers(0, 3, k)) + (1,)
+        op = OperatorSpec(n, k, alphas)
+        want = [sum((op.alphas[m] * symfun.polarized_sigma(a, x, l, m)
+                     for m in range(l, k + 1) if op.alphas[m] != 0), 0) for l in range(k + 1)]
+        while len(want) > 1 and want[-1] == 0:
+            want.pop()
+        got = combop.shifted_profile(op, x, a).coeffs
+        assert got == tuple(want)
+        assert [type(c) for c in got] == [type(c) for c in want]
+
+
 def test_profile_roots_quadratic_and_complex():
     roots = combop.profile_roots(PolyCoeffs((11, 12, 3)))
     assert roots == pytest.approx([-2 - 1 / np.sqrt(3), -2 + 1 / np.sqrt(3)])

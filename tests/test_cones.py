@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import in_cone_exact, ladder_top_full
+from oracles import cone_exit_roots, in_cone_exact
 from symcurv import cones, symfun
 from symcurv.combop import OperatorSpec
 from symcurv.cones import ConeSpec
@@ -162,60 +162,75 @@ def test_report_str():
         assert str(rep).startswith(rep.tag + " trials=")
 
 
-def _segments(u, neg):
-    """Segments p -> v as the sampler draws them: log-uniform magnitudes in
-    [1e-2, 1e2] from the uniforms u (m, 2, n), v negative in entry neg."""
-    mag = 10.0 ** (-2.0 + 4.0 * u)
-    n = u.shape[-1]
-    return mag[:, 0], np.where(np.arange(n) == neg[:, None], -1.0, 1.0) * mag[:, 1]
+def _segments(u, n):
+    """Segments p -> v as _candidates draws them from its uniforms u
+    (m, 2n+3): log-uniform magnitudes in [1e-2, 1e2], v negative in entry
+    floor(u[:, 2n+1] n)."""
+    mag = 10.0 ** (-2.0 + 4.0 * u[:, : 2 * n + 1])
+    neg = np.minimum((u[:, 2 * n + 1] * n).astype(int), n - 1)
+    return mag[:, :n], np.where(np.arange(n) == neg[:, None], -1.0, 1.0) * mag[:, n + 1:]
 
 
-def _ladder_feasible(spec, p, v, pos):
-    """Per row, whether ladder position pos (1..48) of p -> v is feasible."""
-    lam = np.linspace(1.0 / 48, 1.0, 48)[pos - 1][:, None]
-    return cones.cone_margins_batch(spec, (1.0 - lam) * p + lam * v) > spec.tol
-
-
-def _assert_ladder_invariant(spec, p, v, top):
-    # a feasible position (or none: then position 1 is infeasible) whose
-    # successor is infeasible or past the end
-    inner = top > 0
-    assert _ladder_feasible(spec, p[inner], v[inner], top[inner]).all()
-    short = top < 48
-    assert not _ladder_feasible(spec, p[short], v[short], top[short] + 1).any()
+def _assert_exit_and_candidates(spec, u, exact_rows):
+    """On every row whose first exit root is simple, the sampler's exit lies
+    in [root - 2 * 48^-3, root] (up to 1e-7, the oracle's resolution of a
+    simple root: the root itself is a float), and its mixed candidate lies
+    strictly inside the cone: float margin > 0, and exactly on the
+    `exact_rows` candidates of smallest margin.  Returns the counts of
+    such rows and of rows with a root."""
+    p, v = _segments(u, spec.n)
+    exit_ = cones._segment_exit(spec, p, v)
+    root, simple = cone_exit_roots(spec, p, v)
+    h = 48.0 ** -3
+    assert (root[simple] - 2 * h - 1e-7 <= exit_[simple]).all()
+    assert (exit_[simple] <= root[simple] + 1e-7).all()
+    cand = cones._candidates(spec, u, np.ones(len(u), dtype=bool))[simple]
+    margins = cones.cone_margins_batch(spec, cand)
+    assert (margins > 0.0).all()
+    for point in cand[np.argsort(margins)[:exact_rows]]:
+        assert in_cone_exact(spec.kind, point, spec.k, spec.alpha)
+    return int(simple.sum()), int(np.isfinite(root).sum())
 
 
 @st.composite
-def _ladder_cases(draw):
+def _segment_cases(draw):
     n = draw(st.integers(1, 6))
     kind = draw(st.sampled_from(["garding", "tilde"]))
     spec = ConeSpec(kind, n, draw(st.integers(1, n)), draw(st.floats(0.0, 5.0)))
     rows = draw(st.integers(1, 8))
+    width = 2 * n + 3
     u = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
-                      min_size=2 * n * rows, max_size=2 * n * rows))
-    neg = draw(st.lists(st.integers(0, n - 1), min_size=rows, max_size=rows))
-    return (spec,) + _segments(np.reshape(u, (rows, 2, n)), np.array(neg))
+                      min_size=width * rows, max_size=width * rows))
+    return spec, np.reshape(u, (rows, width))
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=_ladder_cases())
-def test_two_level_ladder_equals_full_ladder(case):
-    spec, p, v = case
-    top = cones._ladder_top(spec, p, v)
-    assert top.tolist() == ladder_top_full(spec, p, v).tolist()
-    _assert_ladder_invariant(spec, p, v, top)
+@given(case=_segment_cases())
+def test_segment_exit_brackets_the_first_root(case):
+    spec, u = case
+    _assert_exit_and_candidates(spec, u, exact_rows=len(u))
 
 
-def test_two_level_ladder_on_non_monotone_rows():
-    # in Gamma_6 with n = 12 rounding makes some ladders non-monotone (an
-    # infeasible point below a feasible one); the two-level result is still
-    # a feasible position whose successor is infeasible or past the end
+def test_segment_exit_under_rounding_stress():
+    # in Gamma_6 with n = 12 the profile's float values carry visible
+    # rounding (margins along some segments are not monotone); the exit
+    # still brackets every simple root, and nearly all roots are simple
     spec = ConeSpec("garding", 12, 6)
-    rng = np.random.default_rng(12)
-    m = 20_000
-    p, v = _segments(rng.random((m, 2, 12)), rng.integers(0, 12, m))
-    top = cones._ladder_top(spec, p, v)
-    _assert_ladder_invariant(spec, p, v, top)
-    feasible = np.stack([_ladder_feasible(spec, p, v, np.full(m, j)) for j in range(1, 49)], 1)
-    full = ladder_top_full(spec, p, v)
-    assert (feasible != (np.arange(1, 49) <= full[:, None])).any(axis=1).sum() > 0
+    u = np.random.default_rng(12).random((20_000, 2 * 12 + 3))
+    simple, rooted = _assert_exit_and_candidates(spec, u, exact_rows=20)
+    assert simple > 0.95 * rooted
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_tilde_cone_is_garding_cone_with_alpha_appended(data):
+    # Gamma~_k = {lam : (lam, alpha) in Gamma_k of n + 1 entries}, alpha >= 0,
+    # and Gamma~_k = Gamma_k at alpha = 0: the sampler's exit uses one
+    # polynomial, sigma_k(lam, alpha) = alpha sigma_{k-1}(lam) + sigma_k(lam)
+    n = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, n))
+    entry = st.fractions(-10, 10, max_denominator=8)
+    lam = data.draw(st.lists(entry, min_size=n, max_size=n))
+    alpha = data.draw(st.fractions(0, 10, max_denominator=8))
+    assert in_cone_exact("tilde", lam, k, alpha) == in_cone_exact("garding", lam + [alpha], k)
+    assert in_cone_exact("tilde", lam, k, 0) == in_cone_exact("garding", lam, k)

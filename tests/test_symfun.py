@@ -131,6 +131,35 @@ def test_polarized_sigma_matches_enumeration():
         assert symfun.polarized_sigma(lam, mu, l, k) == pytest.approx(want, rel=1e-11, abs=1e-11)
 
 
+def test_polarized_sigma_exact_on_rationals():
+    # exact values, and a Fraction wherever a Fraction enters: int rows give
+    # ints, sigma_{k,0}(lam, mu) = sigma_k(lam) stays an int for int lam
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        n = int(rng.integers(1, 6))
+        lam = tuple(int(v) for v in rng.integers(-4, 5, n))
+        mu = tuple(F(int(v), int(d)) for v, d in zip(rng.integers(-9, 10, n), rng.integers(1, 5, n)))
+        k = int(rng.integers(0, n + 1))
+        l = int(rng.integers(0, k + 1))
+        got = symfun.polarized_sigma(lam, mu, l, k)
+        assert got == polarized_enumerate(lam, mu, l, k)
+        assert type(got) is (int if l == k else F)
+        assert type(symfun.polarized_sigma(lam, lam, l, k)) is int
+
+
+def test_profile_table_batches_rows():
+    # a float batch equals the exact table row by row, to rounding
+    rng = np.random.default_rng(8)
+    p, d = rng.uniform(-2, 2, (5, 4)), rng.uniform(-2, 2, (5, 4))
+    table = symfun.profile_table(p, d, 3)
+    assert table.shape == (4, 4, 5)
+    for r in range(5):
+        for k in range(4):
+            for l in range(k + 1):
+                want = polarized_enumerate(d[r], p[r], l, k)
+                assert table[k, l, r] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def test_polarization_blend_expansion():
     rng = np.random.default_rng(5)
     for _ in range(100):
