@@ -16,7 +16,8 @@ from math import factorial
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .symfun import _sigmas_of, as_tuple, profile_table, sigma_all, sigma_all_batch
+from .symfun import (_combine, _deleted_sums, as_tuple, profile_table, sigma_all,
+                     sigma_all_batch)
 
 __all__ = [
     "OperatorSpec",
@@ -93,16 +94,6 @@ def _check_dim(op, values):
         raise DomainError(f"operator expects n={op.n} entries, got {len(values)}")
 
 
-def _combine(coeffs, values):
-    """sum_s coeffs[s] * sigma_s(values) from one pass of the product
-    recurrence; exact for exact input, zero coefficients add nothing."""
-    total = 0
-    for c, e in zip(coeffs, _sigmas_of(values, len(coeffs) - 1)):
-        if c != 0:
-            total = total + c * e
-    return total
-
-
 def q_eval(op, lam):
     """Q(lam) = sum_s alpha_s sigma_s(lam)."""
     values = as_tuple(lam)
@@ -114,20 +105,14 @@ def q_grad(op, lam):
     """Componentwise Q^{ii}(lam) = sum_s alpha_s sigma_{s-1}(lam|i)."""
     values = as_tuple(lam)
     _check_dim(op, values)
-    return [_combine(op.alphas[1:], values[:i] + values[i + 1:]) for i in range(op.n)]
+    return _deleted_sums(op.alphas, values, 1)
 
 
 def q_hess(op, lam):
     """Matrix Q^{pp,qq}(lam) = sum_s alpha_s sigma_{s-2}(lam|pq); zero diagonal."""
     values = as_tuple(lam)
     _check_dim(op, values)
-    zero = sum(a * 0 for a in op.alphas[2:] if a != 0)   # 0 of the coefficients' type
-    out = [[zero] * op.n for _ in range(op.n)]
-    for p in range(op.n):
-        for q in range(p + 1, op.n):
-            rest = values[:p] + values[p + 1: q] + values[q + 1:]
-            out[p][q] = out[q][p] = _combine(op.alphas[2:], rest)
-    return out
+    return _deleted_sums(op.alphas, values, 2)
 
 
 def q_eval_batch(op, values):

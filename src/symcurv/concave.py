@@ -25,12 +25,12 @@ from .symfun import Jet, as_tuple, sigma_all, sigma_all_batch
 from .combop import OperatorSpec, LowerOperatorSpec, q_eval_batch
 from .cones import (
     ConeSpec,
-    VerificationReport,
     cone_contains,
     cone_margins_batch,
     _PHASE_HESSIAN,
     _PHASE_POINT,
     _Part,
+    _Worst,
     _chunks,
     _evidence_report,
     _pass_rounds,
@@ -313,24 +313,19 @@ def concavity_scan(
     Returns a VerificationReport; details carry the Hessian worst case,
     hessian_validated (Hessian points with a finite eigenvalue) and the
     evidence counters: trials_evaluated (midpoint trials with a finite
-    residual), trials_skipped (midpoint trials the sampler found no point
-    for) and directions_unresolved (sampled (trial, direction) pairs with
-    no admissible probe size or a non-finite residual).  A scan with no
-    finite midpoint residual, or with Hessian trials requested and no
-    finite Hessian eigenvalue, is inconclusive: details["inconclusive"] is
-    True and the report does not pass.
+    residual), trials_skipped (the other midpoint trials: no point found,
+    or no finite residual) and directions_unresolved (sampled (trial,
+    direction) pairs with no admissible probe size or a non-finite
+    residual).  A scan with no finite midpoint residual, or with Hessian
+    trials requested and no finite Hessian eigenvalue, is inconclusive:
+    details["inconclusive"] is True and the report does not pass.
     """
     if field.domain is None:
         raise DomainError("concavity_scan needs a field with a domain cone")
     if hessian_trials is None:
         hessian_trials = max(1, trials // 10)
-    mid_worst = np.inf
-    mid_witness = None
-    mid_extra = None
-    evaluated = skipped = unresolved = 0
-    hess_worst = -np.inf
-    hess_witness = None
-    validated = 0
+    mid, hess = _Worst(), _Worst()   # hess holds -(largest eigenvalue)
+    evaluated = unresolved = validated = 0
     mid_chunks, hess_chunks = _chunks(trials), _chunks(hessian_trials)
     for c in range(max(len(mid_chunks), len(hess_chunks))):
         # a chunk's midpoint and Hessian trials share the sampler's rounds
@@ -342,49 +337,23 @@ def concavity_scan(
             xs, found = sampled.pop(0)
             xs, dirs, res, eps = _midpoint_chunk(field, seed, mid_chunks[c][0], xs, found)
             resolved = res < np.inf
-            skipped += found.size - xs.shape[0]
             unresolved += int(resolved.size - resolved.sum())
             evaluated += int(resolved.any(axis=1).sum())
-            if res.size:
-                i, j = np.unravel_index(np.argmin(res), res.shape)
-                if res[i, j] < mid_worst:
-                    mid_worst = float(res[i, j])
-                    mid_witness = tuple(float(v) for v in xs[i])
-                    mid_extra = {"direction": tuple(float(v) for v in dirs[i, j]),
-                                 "eps": float(eps[i, j])}
+            mid.offer(res, lambda i, j: (tuple(xs[i].tolist()), {
+                "direction": tuple(dirs[i, j].tolist()), "eps": float(eps[i, j])}))
         if c < len(hess_chunks):
             xs, found = sampled.pop(0)
-            values = _max_hessian_eigs(field, xs[found])
+            xs = xs[found]
+            values = _max_hessian_eigs(field, xs)
             validated += int(np.sum(values > -np.inf))
-            if values.size and values.max() > hess_worst:
-                hess_worst = float(values.max())
-                hess_witness = tuple(float(v) for v in xs[found][values.argmax()])
+            hess.offer(-values, lambda i: (tuple(xs[i].tolist()), None))
 
-    inconclusive = evaluated == 0 or (hessian_trials >= 1 and validated == 0)
-    passed = not inconclusive and bool(mid_worst >= -tol) and bool(hess_worst <= hessian_tol)
-    witness = hess_witness if (mid_worst >= -tol and hess_worst > hessian_tol) else mid_witness
-    return VerificationReport(
-        passed=passed,
-        trials=trials,
-        worst_value=float(mid_worst),
-        seed=seed,
-        witness=witness,
-        witness_extra=mid_extra,
-        details={
-            "field": field.name,
-            "midpoint_worst": float(mid_worst),
-            "hessian_worst": float(hess_worst),
-            "hessian_trials": hessian_trials,
-            "hessian_validated": validated,
-            "hessian_witness": hess_witness,
-            "trials_evaluated": evaluated,
-            "trials_skipped": skipped,
-            "directions_unresolved": unresolved,
-            "inconclusive": inconclusive,
-            "tol": tol,
-            "hessian_tol": hessian_tol,
-        },
-    )
+    details = {"field": field.name, "midpoint_worst": mid.value, "hessian_worst": -hess.value,
+               "hessian_trials": hessian_trials, "hessian_validated": validated,
+               "hessian_witness": hess.witness, "directions_unresolved": unresolved,
+               "tol": tol, "hessian_tol": hessian_tol}
+    return _evidence_report(mid, tol, trials, seed, evaluated, details,
+                            [(hess, hessian_tol, validated)] if hessian_trials >= 1 else [])
 
 
 # ---------------------------------------------------------------------------
@@ -510,26 +479,18 @@ def guan_scan(op, s_l, trials, seed, delta=1.0, tol=1e-9):
     cone = ConeSpec("garding", op.n, op.k)
     low = s_l.as_operator()
     beta = 1.0 / (op.k - s_l.l)
-    worst1 = np.inf
-    worst2 = np.inf
-    witness = None
-    extra = None
+    worst1, worst2 = _Worst(), _Worst()
     evaluated = 0
     for start, m in _chunks(trials):
         [(w, found)] = _sample(cone, seed, [_Part(_PHASE_POINT, start, m)])
         v = _normal_chunk(seed, start, m, op.n)
         w, v = w[found], v[found] * (1.0 + np.max(np.abs(w[found]), axis=1))[:, None]
         evaluated += w.shape[0]
-        if w.shape[0] == 0:
-            continue
         r1, r2, a_q, qv, sv = _guan_terms(op, low, beta, float(delta), w, v)
         n1 = r1 / (1.0 + np.abs(a_q / qv) + np.abs(r1))
         n2 = r2 / (1.0 + np.abs(a_q) + np.abs(r2) + qv * qv / np.maximum(sv, 1e-300))
-        i = int(np.argmin(n1))
-        if n1[i] < worst1:
-            worst1 = float(n1[i])
-            witness = tuple(float(t) for t in w[i])
-            extra = {"w_vec": tuple(float(t) for t in v[i]), "delta": delta}
-        worst2 = min(worst2, float(n2.min()))
-    return _evidence_report(worst1, tol, trials, seed, evaluated, witness, extra,
-                            {"second_inequality_worst": float(worst2), "delta": delta})
+        worst1.offer(n1, lambda i: (tuple(w[i].tolist()),
+                                    {"w_vec": tuple(v[i].tolist()), "delta": delta}))
+        worst2.offer(n2, lambda i: (None, None))
+    return _evidence_report(worst1, tol, trials, seed, evaluated,
+                            {"second_inequality_worst": worst2.value, "delta": delta})

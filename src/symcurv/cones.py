@@ -406,18 +406,43 @@ def sample_cone(spec, count, seed, min_margin=0.0):
     return out
 
 
-def _evidence_report(worst, tol, trials, seed, evaluated, witness=None, extra=None,
-                     details=None):
-    """Report of a scan that needs worst >= -tol over the trials it
-    evaluated; with none evaluated it is inconclusive and does not pass."""
-    inconclusive = evaluated == 0
+class _Worst:
+    """Running minimum of a scan's values with its worst trial's (witness,
+    extra).  offer(values, at) takes one chunk's values, of any shape, and
+    calls at(*index) for the (witness, extra) of the chunk's first minimum
+    only when that minimum is strictly below the best so far: the first
+    minimum wins within a chunk and across chunks, empty chunks and values
+    that are all +inf (or NaN) change nothing."""
+
+    def __init__(self):
+        self.value, self.witness, self.extra = np.inf, None, None
+
+    def offer(self, values, at):
+        if np.size(values):
+            index = np.unravel_index(np.argmin(values), np.shape(values))
+            if values[index] < self.value:
+                self.value = float(values[index])
+                self.witness, self.extra = at(*index)
+
+
+def _evidence_report(worst, tol, trials, seed, evaluated, details=None, gates=()):
+    """Report of a scan that needs worst.value >= -tol (worst a _Worst) over
+    the trials it evaluated; trials_skipped counts the other trials.  Each
+    (tracker, tol, count) in gates is one more check of that form with its
+    own count of evidence.  The report passes when every check holds, and
+    is inconclusive (and does not pass) when a check has no evidence.  Its
+    witness is that of the first failing check, else worst's; worst_value
+    and witness_extra are always worst's."""
+    checks = [(worst, tol, evaluated), *gates]
+    failed = [w for w, t, _ in checks if not w.value >= -t]
+    inconclusive = any(count == 0 for _, _, count in checks)
     return VerificationReport(
-        passed=not inconclusive and bool(worst >= -tol),
+        passed=not inconclusive and not failed,
         trials=trials,
-        worst_value=float(worst),
+        worst_value=worst.value,
         seed=seed,
-        witness=witness,
-        witness_extra=extra,
+        witness=(failed or [worst])[0].witness,
+        witness_extra=worst.extra,
         details={**(details or {}), "trials_evaluated": evaluated,
                  "trials_skipped": trials - evaluated, "inconclusive": inconclusive},
     )
@@ -431,9 +456,7 @@ def segment_convexity_check(spec, trials, seed):
     (convexity of the cone makes it positive).  A trial the sampler finds
     no pair of points for is skipped.
     """
-    worst = np.inf
-    witness = None
-    extra = None
+    worst = _Worst()
     evaluated = 0
     t = (np.arange(1, 10) / 10.0)[:, None]
     for start, m in _chunks(trials):
@@ -442,17 +465,11 @@ def segment_convexity_check(spec, trials, seed):
         both = found & found_mu
         lam, mu = lam[both], mu[both]
         evaluated += lam.shape[0]
-        if not lam.shape[0]:
-            continue
         blends = t * lam[:, None, :] + (1 - t) * mu[:, None, :]
-        margins = cone_margins_batch(spec, blends)
-        i, j = np.unravel_index(np.argmin(margins), margins.shape)
-        if margins[i, j] < worst:
-            worst = float(margins[i, j])
-            witness = tuple(float(v) for v in lam[i])
-            extra = {"other_endpoint": tuple(float(v) for v in mu[i]), "t": float(t[j, 0]),
-                     "blend": tuple(float(v) for v in blends[i, j])}
-    return _evidence_report(worst, spec.tol, trials, seed, evaluated, witness, extra)
+        worst.offer(cone_margins_batch(spec, blends), lambda i, j: (
+            tuple(lam[i].tolist()), {"other_endpoint": tuple(mu[i].tolist()),
+                                     "t": float(t[j, 0]), "blend": tuple(blends[i, j].tolist())}))
+    return _evidence_report(worst, spec.tol, trials, seed, evaluated)
 
 
 def ellipticity_check(op, lam):
@@ -474,19 +491,13 @@ def _grad_scale(op, points):
 def ellipticity_scan(op, spec, trials, seed, tol=DEFAULT_TOL):
     """Worst normalized min_i Q^{ii} (Q's jet along e_i) over cone samples;
     a trial the sampler finds no point for is skipped."""
-    worst = np.inf
-    witness = None
+    worst = _Worst()
     evaluated = 0
     for start, m in _chunks(trials):
         [(lam, found)] = _sample(spec, seed, [_Part(_PHASE_POINT, start, m)])
         lam = lam[found]
         evaluated += lam.shape[0]
-        if not lam.shape[0]:
-            continue
         grad = combop.q_eval_batch(op, Jet.of(lam[:, None], np.eye(op.n), 0.0)).c[1]
-        values = grad.min(axis=-1) / _grad_scale(op, lam)
-        i = int(np.argmin(values))
-        if values[i] < worst:
-            worst = float(values[i])
-            witness = tuple(float(v) for v in lam[i])
-    return _evidence_report(worst, tol, trials, seed, evaluated, witness)
+        worst.offer(grad.min(axis=-1) / _grad_scale(op, lam),
+                    lambda i: (tuple(lam[i].tolist()), None))
+    return _evidence_report(worst, tol, trials, seed, evaluated)

@@ -50,7 +50,7 @@ from .errors import (
     DomainError,
 )
 from .combop import OperatorSpec, q_eval
-from .cones import ConeSpec, VerificationReport, cone_margins_batch, trial_rng
+from .cones import ConeSpec, VerificationReport, _Worst, cone_margins_batch, trial_rng
 
 __all__ = [
     "SphereGrid",
@@ -691,20 +691,15 @@ def barrier_check(psi, op, r1, r2=None, tol=1e-12):
         X = rhos[:, None, None] * dirs
         rho_k = np.array([r**op.k for r in rhos])[:, None]
         nus = np.concatenate([dirs, np.eye(3), -np.eye(3)], axis=0)
-        worst_mono = np.inf
-        w3 = None
+        mono = _Worst()
         for nu in nus:
             g = rho_k * psi.evaluate(X, np.broadcast_to(nu, X.shape))
             dg = (g[2:] - g[:-2]) / (2.0 * (rhos[1] - rhos[0]))
             scale = 1.0 + np.max(np.abs(g)) / (r2 - r1)
-            m = float(np.min(-dg) / scale)
-            if m < worst_mono:
-                worst_mono = m
-                bad = np.unravel_index(int(np.argmin(-dg)), dg.shape)
-                w3 = (tuple(X[bad[0] + 1, bad[1]]), tuple(nu))
-        details["monotonicity_margin"] = worst_mono
-        worst = min(m1, m2, worst_mono)
-        witness = {m1: w1, m2: w2, worst_mono: w3}.get(worst)
+            mono.offer(-dg / scale, lambda i, j: ((tuple(X[i + 1, j]), tuple(nu)), None))
+        details["monotonicity_margin"] = mono.value
+        worst = min(m1, m2, mono.value)
+        witness = {m1: w1, m2: w2, mono.value: mono.witness}.get(worst)
     return VerificationReport(
         passed=bool(worst >= -tol),
         trials=dirs.shape[0],

@@ -258,7 +258,7 @@ def check_condition_q(op, samples, seed, hessian_trials=None):
     is scanned for concavity on Gamma_k samples; reports the worst case.
     """
     from . import concave
-    from .cones import VerificationReport
+    from .cones import VerificationReport, _Worst
 
     rep = check_condition_c(op)
     if not rep.all_real:
@@ -270,18 +270,12 @@ def check_condition_q(op, samples, seed, hessian_trials=None):
         return VerificationReport(passed=True, trials=0, worst_value=0.0, seed=seed,
                                   details={"note": "k=1 has no lower quotients"})
     per_l = {}
-    worst = np.inf
-    hess_worst = -np.inf
-    witness = None
+    worst = _Worst()
     for l in range(1, op.k):
         s_l = lower_operator(op, rep.witness, l, rep.N)
         fld = concave.lower_quotient_field(op, s_l)
-        r = concave.concavity_scan(fld, samples, seed, hessian_trials=hessian_trials)
-        per_l[l] = r
-        if r.worst_value < worst:
-            worst = r.worst_value
-            witness = r.witness
-        hess_worst = max(hess_worst, r.details.get("hessian_worst", -np.inf))
+        r = per_l[l] = concave.concavity_scan(fld, samples, seed, hessian_trials=hessian_trials)
+        worst.offer(np.array([r.worst_value]), lambda i: (r.witness, None))
     passed = all(r.passed for r in per_l.values())
     # inconclusive: some l had no evidence and none was refuted with evidence
     inconclusive = not passed and all(r.passed or r.details.get("inconclusive")
@@ -289,9 +283,11 @@ def check_condition_q(op, samples, seed, hessian_trials=None):
     return VerificationReport(
         passed=passed,
         trials=samples * (op.k - 1),
-        worst_value=float(worst),
+        worst_value=worst.value,
         seed=seed,
-        witness=witness,
-        details={"per_l": per_l, "hessian_worst": float(hess_worst), "witness_b": rep.witness,
+        witness=worst.witness,
+        details={"per_l": per_l,
+                 "hessian_worst": max(r.details["hessian_worst"] for r in per_l.values()),
+                 "witness_b": rep.witness,
                  "inconclusive": inconclusive},
     )

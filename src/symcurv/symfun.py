@@ -89,14 +89,35 @@ def elem_sym_deleted(lam, m, omit):
     rest = delete_entries(lam, omit)
     if not 0 <= m <= len(rest):
         raise DomainError(f"m={m} out of range 0..{len(rest)}")
-    return _sigmas_of(rest, m)[m]
+    return _combine((0,) * m + (1,), rest)
 
 
-def _sigmas_of(rest, upto):
-    # sigma_0..sigma_upto of a possibly-empty tuple (sigma_0 = 1, overflow = 0)
-    if not rest:
-        return [1] + [0] * upto
-    return sigma_all(rest, min(upto, len(rest))) + [0] * max(0, upto - len(rest))
+def _combine(coeffs, values):
+    """sum_s coeffs[s] * sigma_s(values) from one pass of the product
+    recurrence over a possibly empty tuple (sigma_s = 0 for s past its
+    length); exact for exact input, zero coefficients add nothing."""
+    upto = len(coeffs) - 1
+    total = 0
+    for c, e in zip(coeffs, sigma_all(values, upto) if values else [1] + [0] * upto):
+        if c != 0:
+            total = total + c * e
+    return total
+
+
+def _deleted_sums(coeffs, values, order):
+    """sum_s coeffs[s] * sigma_{s-order}(values|I) over the deleted index
+    sets I of size order: the list over I = {i} for order 1, the symmetric
+    matrix over I = {p, q} for order 2, whose diagonal is the zero of the
+    coefficients' type (int 0 for int coefficients)."""
+    n, rest = len(values), coeffs[order:]
+    if order == 1:
+        return [_combine(rest, values[:i] + values[i + 1:]) for i in range(n)]
+    zero = sum(c * 0 for c in rest if c != 0)
+    out = [[zero] * n for _ in range(n)]
+    for p in range(n):
+        for q in range(p + 1, n):
+            out[p][q] = out[q][p] = _combine(rest, values[:p] + values[p + 1: q] + values[q + 1:])
+    return out
 
 
 def sigma_grad(lam, k):
@@ -105,7 +126,7 @@ def sigma_grad(lam, k):
     n = len(values)
     if not 1 <= k <= n:
         raise DomainError(f"k={k} out of range 1..{n}")
-    return [_sigmas_of(values[:i] + values[i + 1:], k - 1)[k - 1] for i in range(n)]
+    return _deleted_sums((0,) * k + (1,), values, 1)
 
 
 def sigma_hess(lam, k):
@@ -114,14 +135,7 @@ def sigma_hess(lam, k):
     n = len(values)
     if not 1 <= k <= n:
         raise DomainError(f"k={k} out of range 1..{n}")
-    hess = [[0] * n for _ in range(n)]
-    if k < 2:
-        return hess
-    for p in range(n):
-        for q in range(p + 1, n):
-            rest = tuple(x for i, x in enumerate(values) if i != p and i != q)
-            hess[p][q] = hess[q][p] = _sigmas_of(rest, k - 2)[k - 2]
-    return hess
+    return _deleted_sums((0,) * k + (1,), values, 2)
 
 
 def profile_table(p, d, k):

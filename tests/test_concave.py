@@ -132,6 +132,17 @@ def test_concavity_scan_counts_evidence():
     assert 1 <= d["hessian_validated"] <= 30
 
 
+def test_concavity_scan_accounts_for_every_trial():
+    # a trial with a cone point but no finite midpoint residual (sqrt of a
+    # negative number at every probe) is skipped, not lost
+    fld = concave.ScalarField("sqrt(x0-1)", 2, lambda x: (x[0] - 1.0) ** 0.5,
+                              domain=ConeSpec("garding", 2, 2))
+    with np.errstate(invalid="ignore"):
+        rep = concave.concavity_scan(fld, 300, seed=2, hessian_trials=30)
+    d = rep.details
+    assert d["trials_evaluated"] == 161 and d["trials_skipped"] == 139
+
+
 def _catalog_fields():
     op = OperatorSpec.sum_type(4, 3, 2)
     rep = hypcheck.check_condition_c(op)
@@ -368,3 +379,8 @@ def test_negative_control_hessian_is_exact():
     x = d["hessian_witness"]
     want = (1.0 + max(abs(v) for v in x)) ** 2 / (1.0 + abs(x[0] * x[1]))
     assert d["hessian_worst"] == pytest.approx(want, rel=1e-12) and want > 1e-3
+    # with the midpoint gate out of reach the Hessian gate alone refutes it,
+    # and the witness is the Hessian point
+    rep = concave.concavity_scan(fld, 300, seed=4, tol=10.0)
+    assert rep.details["midpoint_worst"] >= -10.0
+    assert not rep.passed and rep.witness == rep.details["hessian_witness"]

@@ -2,6 +2,7 @@
 every sample, and witnesses that reproduce the reported worst values
 through the scalar paths."""
 
+import dataclasses
 from fractions import Fraction as F
 from math import comb
 
@@ -172,6 +173,26 @@ def test_multi_round_passes_match_single_rounds(monkeypatch):
     assert cones.sample_cone(spec, 300, seed=4, min_margin=0.02) == many
 
 
+def test_worst_tracker_keeps_the_first_minimum():
+    worst = cones._Worst()
+    seen = []
+
+    def at(*index):
+        seen.append(index)
+        return index, {"chunk": len(seen)}
+
+    worst.offer(np.array([np.inf, np.inf]), at)     # all +inf: no witness
+    assert (worst.value, worst.witness, worst.extra) == (np.inf, None, None) and not seen
+    worst.offer(np.array([[3.0, 1.0], [1.0, 2.0]]), at)  # first minimum within a chunk
+    assert worst.value == 1.0 and worst.witness == (0, 1) and seen == [(0, 1)]
+    worst.offer(np.array([2.0, 1.0]), at)            # a tie does not replace it
+    worst.offer(np.empty((0, 4)), at)                # an empty chunk is ignored
+    assert worst.witness == (0, 1) and worst.extra == {"chunk": 1} and len(seen) == 1
+    worst.offer(np.array([0.5, -1.0, -1.0]), at)     # strictly lower: the first of them
+    assert worst.value == -1.0 and worst.witness == (1,) and worst.extra == {"chunk": 2}
+    assert isinstance(worst.value, float)
+
+
 def _guan_inputs(alpha):
     op = OperatorSpec.sum_type(3, 2, alpha)
     rep = hypcheck.check_condition_c(op)
@@ -183,6 +204,8 @@ SCANS = {
     "ellipticity": lambda trials, spec: cones.ellipticity_scan(
         OperatorSpec.sum_type(3, 2, 2), spec, trials, 3),
     "guan": lambda trials, spec: concave.guan_scan(*_guan_inputs(2), trials, 3),
+    "concavity": lambda trials, spec: concave.concavity_scan(
+        dataclasses.replace(concave.sum_root_field(3, 2, 2.0), domain=spec), trials, 3),
 }
 
 
