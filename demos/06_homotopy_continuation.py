@@ -36,5 +36,5 @@ print(f"\nmax-over-path kappa_1 = {summary['max_kappa1']:.4f} (finite), "
       f"min support = {summary['min_support']:.4f}")
 
 out_dir = "demo_path"
-gs.write_path_csv(out_dir, path, op, psi, 1e-2)
+gs.write_path_csv(out_dir, path)
 print(f"wrote per-step solution tables and path.csv to {out_dir}/")

@@ -377,7 +377,7 @@ def _homotopy(cfg, op):
           f"final residual {final_res:.3e}")
     print(f"max-over-path kappa1 = {summary['max_kappa1']:.6f}  "
           f"min support = {summary['min_support']:.6f}")
-    geomsolve.write_path_csv(cfg.output_dir, path, op, psi, h_eps)
+    geomsolve.write_path_csv(cfg.output_dir, path)
     return rows + [("homotopy", len(path.ts), final_res, True)], None
 
 

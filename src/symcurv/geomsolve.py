@@ -26,14 +26,15 @@ local quantities q, rho and its derivatives, each a linear stencil
 operator D_q on rho; so Newton's Jacobian is exactly
 J = sum_q diag(df/dq) D_q, with the six partials from one complex-step
 evaluation of f (Squire and Trapp 1998).  A psi free of X adds a
-translation gauge (newton_solve).  SuperLU factors J under the
-minimum-degree ordering on A + A^T, the fill-reducing ordering for a
-structurally symmetric pattern such as the stencil's; Newton reuses a
-factor for chord steps while the residual contracts, and the continuation
-hands it from one step to the next.  monitor_path(path)
-summarises the records homotopy_solve kept; write_solution_csv returns
-the residual it wrote.  The CSV writers make each file in one pass, with
-the bytes csv.writer would write.
+translation gauge (newton_solve).  The stencil reads only the latitude
+rows j-1, j and j+1, so J is block tridiagonal over latitude rows; a
+block LU (_BlockLU, numpy only) factors it and closes the gauge's border
+by a 3x3 Schur complement.  Newton reuses a factor for chord steps while
+the residual contracts, and the continuation hands it from one step to
+the next, together with the accepted surface's residual and geometry,
+which the path keeps for monitor_path and write_path_csv.
+write_solution_csv returns the residual it wrote.  The CSV writers make
+each file in one pass, with the bytes csv.writer would write.
 """
 
 import functools
@@ -213,6 +214,12 @@ def _geometry(q, grid):
     (..., n_lat, n_lon), real or complex): X, nu, the shape operator
     (s11, s12, s22) in the orthonormal tangent frame that the Cholesky factor
     of g gives (e_1 along d/dtheta), and the support <X, nu>."""
+    shape, w = _shape_operator(q, grid)
+    return (*_frame(q, w, grid), shape, q[0]**2 / w)
+
+
+def _shape_operator(q, grid):
+    """The shape operator (s11, s12, s22) of _geometry, and W."""
     rho, r_t, r_p, r_tt, r_pp, r_pt = q
     st, ct, cot = _trig(grid)
 
@@ -238,13 +245,16 @@ def _geometry(q, grid):
     s11 = h_tt / g_tt
     s12 = (h_tp - c * h_tt) / np.sqrt(det_g)
     s22 = (h_pp - 2.0 * c * h_tp + c**2 * h_tt) * g_tt / det_g
+    return (s11, s12, s22), w
 
+
+def _frame(q, w, grid):
+    """X and nu of _geometry from rho, rho_theta, rho_phi (q[:3]) and W."""
+    rho, r_t, r_p = q[:3]
     r_hat, t_hat, p_hat = grid.unit_vectors()
-    grad_vec = r_t[..., None] * t_hat + (r_p / st)[..., None] * p_hat
+    grad_vec = r_t[..., None] * t_hat + (r_p / _trig(grid)[0])[..., None] * p_hat
     X = rho[..., None] * r_hat
-    nu = (X - grad_vec) / w[..., None]
-    support = rho**2 / w
-    return X, nu, (s11, s12, s22), support
+    return X, (X - grad_vec) / w[..., None]
 
 
 def _principal(shape):
@@ -406,7 +416,7 @@ class NewtonDiagnostics:
     # one entry per Newton step (attempted steps included):
     residual_evals: list = field(default_factory=list)  # candidates + 6 complex-step surfaces
     jacobian_s: list = field(default_factory=list)      # Jacobian assembly
-    linsolve_s: list = field(default_factory=list)      # sparse LU factor and solves
+    linsolve_s: list = field(default_factory=list)      # block LU factor and solves
     line_search_s: list = field(default_factory=list)   # candidate evaluations
     factored: list = field(default_factory=list)        # built and factored a Jacobian
 
@@ -421,84 +431,107 @@ _CHORD_THETA = 0.1  # a chord step must cut the residual below this fraction
 
 class _Handoff:
     """What one Newton solve of a continuation hands to the next: the LU
-    factor in hand (lu) and the geometry of the accepted surface."""
+    factor in hand (lu), and the residual and geometry of the accepted
+    surface."""
 
     lu = None
+    residual = None
     geometry = None
 
 
-@dataclass(frozen=True)
-class _JacobianPattern:
-    """CSC structure of the Newton matrix [[J, U], [C', 0]] (U, C empty
-    without the gauge) and the stencil weights that assemble J."""
+@functools.lru_cache(maxsize=None)
+def _stencil_weights(grid):
+    """(6, 3, 3): the weight of offset (dj, di) in {-1, 0, 1}^2 in the
+    linear stencil operator D_q of each local quantity q, read off
+    _derivatives at the centre of a 3x3 patch, one unit impulse per offset."""
+    impulses = np.eye(9).reshape(9, 3, 3)
+    return np.stack(_derivatives(impulses, grid))[:, :, 1, 1].reshape(6, 3, 3)
 
-    indices: np.ndarray   # row of each structural nonzero, column-major
-    indptr: np.ndarray
-    stencil: np.ndarray   # positions of J's nonzeros in indices
-    rows: np.ndarray      # their rows
-    weights: np.ndarray   # (6, len(stencil)): their entries of D_q
-    data: np.ndarray      # the matrix values with the border in place, J's zero
-    U: np.ndarray         # (n, 3 or 0) components of r_hat
-    C: np.ndarray         # (n, 3 or 0) the same weighted by sin theta / sum sin theta
+
+def _jacobian(rho, grid, op, psi):
+    """The exact Jacobian J = sum_q diag(df/dq) D_q of the discrete residual
+    as stencil coefficients c[dj+1, di+1, j, i] = sum_q df/dq w_q(dj, di),
+    the weight of node (j+dj, i+di) in row (j, i).  The partials df/dq come
+    from one complex-step evaluation of f, surface b stepping q_b; psi
+    reads only X and nu, which rho, rho_theta and rho_phi fix, so it is
+    evaluated on surfaces 0-2 alone (on 3-5 its imaginary part is zero)."""
+    q = np.stack(_derivatives(rho, grid))[:, None]
+    batch = q + 1j * _CS_STEP * np.eye(6)[:, :, None, None]   # q_b steps on surface b
+    (s11, s12, s22), w = _shape_operator(batch, grid)
+    partial = _q_invariants(op, s11 + s22, s11 * s22 - s12**2).imag
+    partial[:3] -= psi.evaluate(*_frame(batch[:3, :3], w[:3], grid)).imag
+    return np.einsum("qji,qab->abji", partial / _CS_STEP, _stencil_weights(grid))
 
 
 @functools.lru_cache(maxsize=None)
-def _jacobian_pattern(grid, gauge=False):
-    """Pattern from the stencil: node (j, i) reads (j+dj, i+di) for dj, di in
-    {-1, 0, 1}, longitude wrapping round; across a pole the ghost row is the
-    edge row shifted by n_lon/2 (as in _pole_pad).  Each of the six local
-    quantities q is a linear stencil operator D_q of rho (_derivatives); its
-    weight per offset comes from the 3x3 table below, summed where offsets
-    meet the same node.  With the gauge, 3 rows and columns border J."""
-    n_lat, n_lon = grid.shape
-    n = n_lat * n_lon
-    j, i = np.indices(grid.shape).reshape(2, -1, 1)
-    dj, di = np.indices((3, 3)).reshape(2, 1, -1) - 1
-    nj, ni = j + dj, i + di
-    across = (nj < 0) | (nj >= n_lat)
-    nj = np.clip(nj, 0, n_lat - 1)
-    ni = (ni + across * (n_lon // 2)) % n_lon
-    rows = np.broadcast_to(j * n_lon + i, nj.shape).ravel()
-    cols = (nj * n_lon + ni).ravel()
-    dt, dp = grid.d_theta, grid.d_phi
-    table = np.stack([(dj == 0) & (di == 0), dj * (di == 0) / (2 * dt), di * (dj == 0) / (2 * dp),
-                      (3 * dj**2 - 2) * (di == 0) / dt**2, (3 * di**2 - 2) * (dj == 0) / dp**2,
-                      dj * di / (4 * dt * dp)]).reshape(6, 9)
-    values = np.vstack([np.tile(table, n), np.zeros(rows.size)])   # 6 weights, 1 border
-    U = C = np.zeros((n, 0))
-    if gauge:
-        U = grid.unit_vectors()[0].reshape(n, 3)
-        st = np.repeat(np.sin(grid.theta), n_lon)[:, None]
-        C = U * st / st.sum()
-        node, k = np.indices((n, 3)).reshape(2, -1)
-        rows = np.concatenate([rows, node, n + k])
-        cols = np.concatenate([cols, n + k, node])
-        values = np.hstack([values, np.vstack([np.zeros((6, 6 * n)), np.append(U, C)])])
-    size = n + U.shape[1]
-    keys, at = np.unique(cols * size + rows, return_inverse=True)
-    summed = np.stack([np.bincount(at, weights=v, minlength=keys.size) for v in values])
-    indices, col = keys % size, keys // size
-    stencil = np.flatnonzero((indices < n) & (col < n))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=size))])
-    return _JacobianPattern(indices, indptr, stencil, indices[stencil], summed[:6, stencil],
-                            summed[6], U, C)
+def _gauge(grid, on):
+    """The translation gauge's border (U, C), each (n, 3), or (n, 0) when
+    off: U the components of r_hat, C the same weighted by
+    sin theta / sum sin theta (read-only)."""
+    n = grid.n_lat * grid.n_lon
+    U = grid.unit_vectors()[0].reshape(n, 3)[:, :3 if on else 0]
+    st = np.repeat(np.sin(grid.theta), grid.n_lon)[:, None]
+    return _read_only(U, U * st / st.sum())
 
 
-def _jacobian(rho, grid, op, psi, pat):
-    """The exact Jacobian J = sum_q diag(df/dq) D_q of the discrete residual
-    in pattern pat: the residual at a node is a pointwise function f of its
-    six local quantities q, whose partials come from one complex-step
-    evaluation of f on 6 surfaces."""
-    import scipy.sparse   # loaded on the first solve, not with symcurv
+class _BlockLU:
+    """LU factor of the Newton matrix [[J, U], [C', 0]] (U, C of width 0
+    without the gauge), J from its stencil coefficients (_jacobian).
 
-    q = np.stack(_derivatives(rho, grid))[:, None]
-    batch = q + 1j * _CS_STEP * np.eye(6)[:, :, None, None]   # q_b steps on surface b
-    res = _pointwise_residual(batch, grid, op, psi)[0]
-    partial = res.imag.reshape(6, -1) / _CS_STEP
-    data = pat.data.copy()
-    data[pat.stencil] = np.einsum("qk,qk->k", partial[:, pat.rows], pat.weights)
-    size = pat.indptr.size - 1
-    return scipy.sparse.csc_matrix((data, pat.indices, pat.indptr), shape=(size, size))
+    Node (j, i) reads latitude rows j-1, j and j+1 only, and across a pole
+    the ghost row is the edge row itself shifted by n_lon/2.  So J is block
+    tridiagonal over latitude rows, with n_lon x n_lon blocks L_j, D_j, U_j
+    in block columns j-1, j, j+1 (the off-diagonal ones hold 3 wrapping
+    entries per row).  Block Thomas elimination keeps L_j, D'_j^-1 and
+    G_j = D'_j^-1 U_j, with D'_j = D_j - L_j G_{j-1}.  With the gauge, the
+    3x3 Schur complement S = C'Z of Z = J^-1 U closes the border.  Raises
+    numpy.linalg.LinAlgError when a block or S is singular or not finite."""
+
+    def __init__(self, coef, U, C):
+        n_lat, m = coef.shape[2:]
+        blocks = np.zeros((3, n_lat, m, m))   # [dj + 1, j]: L_j, D_j, U_j
+        rows = np.arange(m)
+        for d in range(3):   # one add per longitude offset: offsets meeting at a node sum
+            cols = (rows + d - 1) % m
+            blocks[:, :, rows, cols] += coef[:, d]
+            # the ghost rows across the poles are the edge rows themselves
+            # (L_0 and U_{n_lat-1} are never read)
+            blocks[1, 0, rows, (cols + m // 2) % m] += coef[0, d, 0]
+            blocks[1, -1, rows, (cols + m // 2) % m] += coef[2, d, -1]
+        L, D, U_blocks = blocks
+        inv = np.empty_like(D)
+        G = np.empty_like(D[:-1])
+        for j in range(n_lat):
+            inv[j] = np.linalg.inv(D[j] - L[j] @ G[j - 1] if j else D[0])
+            if j < n_lat - 1:
+                G[j] = inv[j] @ U_blocks[j]
+        self.L, self.inv, self.G, self.C = L[1:].copy(), inv, G, C
+        self.Z = self._solve_j(U) if U.size else U
+        self.S_inv = np.linalg.inv(C.T @ self.Z)
+        if not (np.all(np.isfinite(inv)) and np.all(np.isfinite(self.S_inv))):
+            raise np.linalg.LinAlgError("non-finite block")
+
+    def _solve_j(self, b):
+        """J^-1 b for b of shape (n,) or (n, k): y_j = D'_j^-1 (b_j - L_j y_{j-1})
+        down the rows, then x_j = y_j - G_j x_{j+1} back up.  (Folding
+        D'_j^-1 L_j into one matrix saves a product per row but raised the
+        backward error 4- to 7-fold at 128x64.)"""
+        n_lat, m, _ = self.inv.shape
+        b_rows = b.reshape((n_lat, m) + b.shape[1:])
+        y = [self.inv[0] @ b_rows[0]]
+        for inv, L, b_j in zip(self.inv[1:], self.L, b_rows[1:]):
+            y.append(inv @ (b_j - L @ y[-1]))
+        x = y[-1:]
+        for G, y_j in zip(self.G[::-1], y[-2::-1]):
+            x.append(y_j - G @ x[-1])
+        return np.stack(x[::-1]).reshape(b.shape)
+
+    def solve(self, rhs):
+        """[x; mu] with J x + U mu = r_1 and C'x = r_2 for rhs = [r_1; r_2]."""
+        n = self.C.shape[0]
+        x = self._solve_j(rhs[:n])
+        mu = self.S_inv @ (self.C.T @ x - rhs[n:])
+        return np.concatenate([x - self.Z @ mu, mu])
 
 
 def _position_free(psi):
@@ -537,13 +570,11 @@ def newton_solve(initial, op, psi, opts=None, _handoff=None):
     """
     if op.n != 2:
         raise DomainError("surface solving is fixed to n=2 (two principal curvatures)")
-    import scipy.sparse.linalg   # loaded on the first solve, not with symcurv
-
     opts = opts or SolveOptions()
     grid = initial.grid
-    pat = _jacobian_pattern(grid, _position_free(psi))
+    U, C = _gauge(grid, _position_free(psi))
     rho = initial.rho.copy()
-    mu = np.zeros(pat.U.shape[1])
+    mu = np.zeros(U.shape[1])
     res, geo = _residual_raw(rho, grid, op, psi)
     X, nu, shape, _ = geo
     bad = _inadmissible_nodes(op, _principal(shape))
@@ -554,10 +585,10 @@ def newton_solve(initial, op, psi, opts=None, _handoff=None):
     diag = NewtonDiagnostics(tol=tol, mu=tuple(mu))
 
     def bordered(rho, res, mu):
-        return np.concatenate([res.ravel() + pat.U @ mu, rho.ravel() @ pat.C])
+        return np.concatenate([res.ravel() + U @ mu, rho.ravel() @ C])
 
     def candidate(step, scale, bound):
-        """(rho, mu, bordered residual, its norm, geometry) of the iterate
+        """(rho, mu, bordered residual, its norm, residual, geometry) of the iterate
         rho + scale * step, or None unless it is positive, psi is defined
         on it, it is admissible and its norm is finite and below bound."""
         cand = rho + scale * step[:rho.size].reshape(grid.shape)
@@ -573,7 +604,7 @@ def newton_solve(initial, op, psi, opts=None, _handoff=None):
         cand_norm = float(np.max(np.abs(cand_full)))
         if (np.isfinite(cand_norm) and cand_norm < bound
                 and not _inadmissible_nodes(op, _principal(cand_geo[2]))):
-            return cand, cand_mu, cand_full, cand_norm, cand_geo
+            return cand, cand_mu, cand_full, cand_norm, cand_res, cand_geo
         return None
 
     full = bordered(rho, res, mu)
@@ -585,7 +616,7 @@ def newton_solve(initial, op, psi, opts=None, _handoff=None):
         if norm <= tol and np.all(np.abs(mu) <= tol):
             diag.converged = True
             if _handoff is not None:
-                _handoff.lu, _handoff.geometry = lu, geo
+                _handoff.lu, _handoff.residual, _handoff.geometry = lu, res, geo
             return RadialSurfaceField(rho, grid), diag
         if norm <= tol:   # F = -U mu: psi is obstructed, no solution up to translation
             raise ConvergenceError(f"gauge multiplier |mu| = {np.max(np.abs(mu)):.3e} > tol",
@@ -605,13 +636,13 @@ def newton_solve(initial, op, psi, opts=None, _handoff=None):
         diag.factored.append(accepted is None)
         if accepted is None:
             t0 = perf_counter()
-            jac = _jacobian(rho, grid, op, psi, pat)
+            coef = _jacobian(rho, grid, op, psi)
             t1 = perf_counter()
             diag.jacobian_s[-1] += t1 - t0
             diag.residual_evals[-1] += 6
             try:
-                lu = scipy.sparse.linalg.splu(jac, permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
+                lu = _BlockLU(coef, U, C)
+            except np.linalg.LinAlgError as exc:
                 diag.linsolve_s[-1] += perf_counter() - t1
                 raise ConvergenceError(f"singular Jacobian: {exc}",
                                        last_surface=RadialSurfaceField(rho, grid),
@@ -633,7 +664,7 @@ def newton_solve(initial, op, psi, opts=None, _handoff=None):
                 diagnostics=diag,
             )
         contracted = accepted[3] < _CHORD_THETA * norm
-        rho, mu, full, norm, geo = accepted
+        rho, mu, full, norm, res, geo = accepted
         diag.iterations[-1] = (norm, scale, halving)
         diag.mu = tuple(mu.tolist())
     raise ConvergenceError(
@@ -741,6 +772,7 @@ class HomotopyPath:
     ts: list
     surfaces: list
     records: list          # curvature_monitor record per accepted step
+    fields: list           # (residual, kappa, support) per accepted step, from Newton
     final_diagnostics: NewtonDiagnostics
 
 
@@ -779,8 +811,18 @@ def homotopy_solve(op, psi, grid, r1, r2, steps=20, eps=1e-2, opts=None,
 
     r0 = _bracketed_root(round_residual, 1e-3, 1e3)
     handoff = _Handoff()
+    ts, surfaces, records, fields = [], [], [], []
+
+    def accept(t, surface):
+        _, _, shape, support = handoff.geometry
+        kappa = _principal(shape)
+        ts.append(t)
+        surfaces.append(surface)
+        records.append(_monitor_record(kappa, support))
+        fields.append((handoff.residual, kappa, support))
+
     surface, diag = newton_solve(RadialSurfaceField.sphere(grid, r0), op, probe, opts, handoff)
-    ts, surfaces, records = [0.0], [surface], [_monitor_record(handoff.geometry)]
+    accept(0.0, surface)
     t = 0.0
     base_dt = 1.0 / steps
     dt = base_dt
@@ -797,23 +839,22 @@ def homotopy_solve(op, psi, grid, r1, r2, steps=20, eps=1e-2, opts=None,
                 raise ContinuationError(
                     f"continuation step underflow below 0.0001 at t={t:.6f}",
                     last_t=t,
-                    path=HomotopyPath(ts, surfaces, records, diag),
+                    path=HomotopyPath(ts, surfaces, records, fields, diag),
                 )
             continue
         surface, diag = step
         t = t_next
-        ts.append(t)
-        surfaces.append(surface)
-        records.append(_monitor_record(handoff.geometry))
+        accept(t, surface)
         dt = min(base_dt, dt * 2.0)
-    return HomotopyPath(ts=ts, surfaces=surfaces, records=records, final_diagnostics=diag)
+    return HomotopyPath(ts=ts, surfaces=surfaces, records=records, fields=fields,
+                        final_diagnostics=diag)
 
 
 def _continuation_step(rho, grid, op, psi, opts, handoff):
     """Newton's (surface, diagnostics) from the start rho, or None when the
     step fails: rho not positive everywhere, not admissible, or Newton not
     converging.  Newton first tries handoff's factor, and on success leaves
-    its own factor and accepted geometry there."""
+    its own factor and the accepted residual and geometry there."""
     if not np.all(rho > 0):
         return None
     try:
@@ -848,14 +889,13 @@ def _bracketed_root(f, lo, hi):
 def curvature_monitor(surface, z=0.0):
     """Diagnostics of one surface: max kappa_1, min support, power sums
     P_m = sum_j kappa_j^m (max over nodes) and max of log P_m - m*z*log u."""
-    return _monitor_record(_geometry(_derivatives(surface.rho, surface.grid), surface.grid), z)
+    _, _, shape, support = _geometry(_derivatives(surface.rho, surface.grid), surface.grid)
+    return _monitor_record(_principal(shape), support, z)
 
 
-def _monitor_record(geometry, z=0.0):
-    """curvature_monitor's record from the geometry (X, nu, shape operator,
-    support) that _geometry gave for the surface."""
-    _, _, shape, support = geometry
-    kappa = _principal(shape)
+def _monitor_record(kappa, support, z=0.0):
+    """curvature_monitor's record from the surface's principal curvatures
+    and support."""
     record = {
         "max_kappa1": float(np.max(kappa[..., 0])),
         "min_support": float(np.min(support)),
@@ -917,23 +957,29 @@ def _grid_cells(grid):
 def write_solution_csv(path, surface, op, psi):
     """One row per node: lon_index,lat_index,phi,theta,rho,kappa1,kappa2,support,residual.
     Returns the residual column, Q(kappa) - psi per node (shape (n_lat, n_lon))."""
-    grid = surface.grid
-    res, (_, _, shape, support) = _residual_raw(surface.rho, grid, op, psi)
-    kappa = _principal(shape)
-    _write_csv(path, ["lon_index", "lat_index", "phi", "theta", "rho",
-                      "kappa1", "kappa2", "support", "residual"],
-               [_grid_cells(grid), surface.rho.ravel(), kappa[..., 0].ravel(),
-                kappa[..., 1].ravel(), support.ravel(), res.ravel()])
+    res, (_, _, shape, support) = _residual_raw(surface.rho, surface.grid, op, psi)
+    _write_solution(path, surface, res, _principal(shape), support)
     return res
 
 
-def write_path_csv(out_dir, path, op, psi, eps):
-    """Per-step solution CSVs plus path.csv of t,max_kappa1,min_support,residual_norm."""
+def _write_solution(path, surface, res, kappa, support):
+    """write_solution_csv's file from the surface's fields."""
+    _write_csv(path, ["lon_index", "lat_index", "phi", "theta", "rho",
+                      "kappa1", "kappa2", "support", "residual"],
+               [_grid_cells(surface.grid), surface.rho.ravel(), kappa[..., 0].ravel(),
+                kappa[..., 1].ravel(), support.ravel(), res.ravel()])
+
+
+def write_path_csv(out_dir, path):
+    """Per-step solution CSVs plus path.csv of t,max_kappa1,min_support,residual_norm,
+    from the residual, curvatures and support that Newton left on the path
+    (the bytes write_solution_csv writes for each surface and its datum)."""
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    for idx, (t, surface, record) in enumerate(zip(path.ts, path.surfaces, path.records)):
-        res = write_solution_csv(os.path.join(out_dir, f"surface_{idx:04d}.csv"),
-                                 surface, op, _BlendedPsi(psi, op, t, eps))
+    for idx, (t, surface, record, (res, kappa, support)) in enumerate(
+            zip(path.ts, path.surfaces, path.records, path.fields)):
+        _write_solution(os.path.join(out_dir, f"surface_{idx:04d}.csv"),
+                        surface, res, kappa, support)
         rows.append((t, record["max_kappa1"], record["min_support"],
                      float(np.max(np.abs(res)))))
     _write_csv(os.path.join(out_dir, "path.csv"),

@@ -104,6 +104,22 @@ def cs_jacobian_dense(f, x, h=1e-30):
     return out
 
 
+def stencil_matvec(coef, x):
+    """J x for the 9-point stencil coef[dj+1, di+1, j, i] on a half-offset
+    latitude-longitude grid, x of shape (n_lat, n_lon, ...), entry by entry:
+    row (j, i) reads node (j+dj, (i+di) mod n_lon), or (j, (i+di+n_lon/2)
+    mod n_lon) when j+dj falls across a pole.  J = stencil_matvec(coef,
+    identity) is the dense matrix."""
+    _, _, n_lat, n_lon = coef.shape
+    out = np.zeros(np.shape(x))
+    for (a, b, j, i), c in np.ndenumerate(coef):
+        nj, ni = j + a - 1, i + b - 1
+        if not 0 <= nj < n_lat:
+            nj, ni = j, ni + n_lon // 2
+        out[j, i] += c * x[nj, ni % n_lon]
+    return out
+
+
 def ellipsoid_curvatures(points, axes):
     """Principal curvatures (descending) of the ellipsoid at on-surface points.
 

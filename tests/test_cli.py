@@ -5,9 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from symcurv import cli
+from symcurv import cli, geomsolve
 from symcurv.errors import ConfigError
 
 
@@ -245,16 +246,51 @@ def test_demo_config_reruns_are_byte_identical(tmp_path, capsys, config):
 
 
 
+def test_homotopy_csvs_equal_their_recomputation(tmp_path, capsys):
+    # write_path_csv writes the fields Newton accepted; each surface CSV is
+    # byte for byte what write_solution_csv writes for the rho and t it holds
+    [config] = [c for c in DEMO_CONFIGS if c.stem == "homotopy"]
+    assert cli.main([str(config), "--output", str(tmp_path / "run")]) == 0
+    cfg = cli.parse_config(config.read_text())
+    op = cli._operator(cfg)
+    psi, grid, _ = cli._solver_inputs(cfg, op)
+    rows = (tmp_path / "run" / "path.csv").read_text().splitlines()[1:]
+    assert len(rows) > 2
+    for idx, row in enumerate(rows):
+        t = float(row.split(",")[0])
+        written = (tmp_path / "run" / f"surface_{idx:04d}.csv").read_bytes()
+        rho = [float(line.split(b",")[4]) for line in written.splitlines()[1:]]
+        surface = geomsolve.RadialSurfaceField(np.reshape(rho, grid.shape), grid)
+        datum = geomsolve._BlendedPsi(psi, op, t, cfg.verify["homotopy_eps"])
+        res = geomsolve.write_solution_csv(tmp_path / "again.csv", surface, op, datum)
+        assert (tmp_path / "again.csv").read_bytes() == written
+        rec = geomsolve.curvature_monitor(surface)
+        cells = [t, rec["max_kappa1"], rec["min_support"], float(np.max(np.abs(res)))]
+        assert row == ",".join(map(repr, cells))
+
+
 _IMPORT_PROBE = """
 import sys
 import symcurv, symcurv.cli
-banned, out, configs = sys.argv[1], sys.argv[2], sys.argv[3:]
-for i, config in enumerate(configs):
-    if symcurv.cli.main([config, "--output", f"{out}/{i}"]) != 0:
+banned, out, runs = sys.argv[1], sys.argv[2], sys.argv[3:]
+for i, run in enumerate(runs):
+    config, want = run.rsplit("=", 1)
+    if symcurv.cli.main([config, "--output", f"{out}/{i}"]) != int(want):
         sys.exit(f"{config} failed")
 loaded = [m for m in sys.modules if m == banned or m.startswith(banned + ".")]
 sys.exit(f"loaded {loaded}" if loaded else 0)
 """
+
+
+def _probe_imports(tmp_path, banned, configs):
+    # a fresh interpreter: this test process may have imported scipy already
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    runs = [f"{c}={int(c.stem == 'condition_c_fail')}" for c in configs]
+    run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, banned, str(tmp_path), *runs],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize("configs, banned", [
@@ -262,11 +298,10 @@ sys.exit(f"loaded {loaded}" if loaded else 0)
     (("homotopy",), "scipy.optimize"),
 ])
 def test_runs_load_scipy_only_for_the_geometry_solve(tmp_path, configs, banned):
-    # a fresh interpreter: this test process has imported scipy already
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    paths = [str(DEMO_CONFIGS[0].parent / f"{c}.ini") for c in configs]
-    run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, banned, str(tmp_path), *paths],
-                         env=env, capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
+    _probe_imports(tmp_path, banned, [DEMO_CONFIGS[0].parent / f"{c}.ini" for c in configs])
+
+
+def test_no_config_loads_scipy(tmp_path):
+    # all six demo configs in one interpreter: symcurv runs on numpy alone
+    assert len(DEMO_CONFIGS) == 6
+    _probe_imports(tmp_path, "scipy", DEMO_CONFIGS)

@@ -3,13 +3,11 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse
-import scipy.sparse.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (barrier_monotonicity_loop, cs_jacobian_dense, ellipsoid_curvatures,
                      fd_jacobian_dense, in_cone_exact, kappa_residual,
-                     normalized_margin_exact, write_csv_rows)
+                     normalized_margin_exact, stencil_matvec, write_csv_rows)
 from symcurv import geomsolve as gs
 from symcurv.combop import OperatorSpec, q_eval
 from symcurv.errors import ConeExitError, ContinuationError, ConvergenceError, DomainError
@@ -257,9 +255,7 @@ def test_jacobian_equals_dense_oracles(shape):
         def f(x):
             return gs._residual_raw(x.reshape(grid.shape), grid, OP, psi)[0].ravel()
 
-        jac = gs._jacobian(surf.rho, grid, OP, psi, gs._jacobian_pattern(grid))
-        assert scipy.sparse.issparse(jac)
-        jac = jac.toarray()
+        jac = _dense(gs._jacobian(surf.rho, grid, OP, psi))
         scale = np.abs(jac).max()
         assert np.abs(jac - cs_jacobian_dense(f, surf.rho.ravel())).max() <= 1e-13 * scale, psi
         steps = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(surf.rho.ravel()))
@@ -267,28 +263,80 @@ def test_jacobian_equals_dense_oracles(shape):
         assert np.abs(jac - fd).max() <= 1e-5 * scale, psi
 
 
+def _dense(coef):
+    """The dense matrix of stencil coefficients (the oracle's)."""
+    n = coef[0, 0].size
+    return stencil_matvec(coef, np.eye(n).reshape(*coef.shape[2:], n)).reshape(n, n)
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (10, 5), (32, 16)])
+def test_trimmed_complex_step_is_bit_identical(shape):
+    # psi is evaluated on the complex-step surfaces 0-2 only: the Jacobian
+    # equals the one from the whole residual on all 6 surfaces bit for bit
+    grid = gs.SphereGrid(*shape)
+    for surf, psi in _jacobian_cases(grid):
+        q = np.stack(gs._derivatives(surf.rho, grid))[:, None]
+        batch = q + 1j * gs._CS_STEP * np.eye(6)[:, :, None, None]
+        full = gs._pointwise_residual(batch, grid, OP, psi)[0].imag / gs._CS_STEP
+        want = np.einsum("qji,qab->abji", full, gs._stencil_weights(grid))
+        assert np.array_equal(gs._jacobian(surf.rho, grid, OP, psi), want), psi
+
+
 @pytest.mark.parametrize("shape", [(4, 2), (10, 5), (16, 8), (32, 16)])
 def test_stencil_weights_reproduce_derivatives(shape):
     # (4, 2): the stencil wraps onto itself, so offsets meet at one node;
     # (10, 5): n_lon not a multiple of 3
     grid = gs.SphereGrid(*shape)
-    n = grid.n_lat * grid.n_lon
-    pat = gs._jacobian_pattern(grid)
     rho = gs.perturbed_sphere(grid, 1.0, 0.3, seed=5).rho
-    for w, want in zip(pat.weights, gs._derivatives(rho, grid)):
-        d = scipy.sparse.csc_matrix((w, pat.indices, pat.indptr), shape=(n, n))
-        bound = 8 * np.finfo(float).eps * (abs(d) @ rho.ravel())
-        assert np.all(np.abs(d @ rho.ravel() - want.ravel()) <= bound)
-    # the gauge borders the same J with U = r_hat and C = r_hat sin(theta) / sum sin(theta)
-    psi = gs.PsiSpec("constant", c=1.25)
-    jac = gs._jacobian(rho, grid, OP, psi, pat).toarray()
-    bordered = gs._jacobian(rho, grid, OP, psi, gs._jacobian_pattern(grid, True)).toarray()
-    assert np.array_equal(bordered[:n, :n], jac)
+    for w, want in zip(gs._stencil_weights(grid), gs._derivatives(rho, grid)):
+        coef = np.broadcast_to(w[:, :, None, None], (3, 3, *grid.shape))
+        bound = 8 * np.finfo(float).eps * stencil_matvec(np.abs(coef), rho)
+        assert np.all(np.abs(stencil_matvec(coef, rho) - want) <= bound)
+    # the gauge borders J with U = r_hat and C = r_hat sin(theta) / sum sin(theta)
+    n = grid.n_lat * grid.n_lon
+    U, C = gs._gauge(grid, True)
     r_hat = grid.unit_vectors()[0].reshape(n, 3)
     sin = np.repeat(np.sin(grid.theta), grid.n_lon)[:, None]
-    assert np.array_equal(bordered[:n, n:], r_hat)
-    assert np.allclose(bordered[n:, :n].T, r_hat * sin / sin.sum(), rtol=1e-15, atol=0)
-    assert not bordered[n:, n:].any()
+    assert np.array_equal(U, r_hat)
+    assert np.allclose(C, r_hat * sin / sin.sum(), rtol=1e-15, atol=0)
+    assert [a.shape for a in gs._gauge(grid, False)] == [(n, 0), (n, 0)]
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (10, 5), (32, 16), (64, 32)])
+def test_block_lu_solves_the_bordered_system(shape):
+    # the block LU with its Schur-complement gauge against a dense bordered
+    # solve [[J, U], [C', 0]] [x; mu] = rhs in numpy; J alone only where psi
+    # depends on X (otherwise translations are a near-kernel of J)
+    grid = gs.SphereGrid(*shape)
+    n = grid.n_lat * grid.n_lon
+    rng = np.random.default_rng(3)
+    for surf, psi in _jacobian_cases(grid):
+        coef = gs._jacobian(surf.rho, grid, OP, psi)
+        for gauge in (True,) if gs._position_free(psi) else (False, True):
+            U, C = gs._gauge(grid, gauge)
+            bordered = np.block([[_dense(coef), U], [C.T, np.zeros((U.shape[1],) * 2)]])
+            rhs = rng.normal(size=n + U.shape[1])
+            want = np.linalg.solve(bordered, rhs)
+            got = gs._BlockLU(coef, U, C).solve(rhs)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (psi, gauge)
+
+
+def test_block_lu_refuses_singular_and_non_finite_blocks():
+    grid = gs.SphereGrid(16, 8)
+    coef = gs._jacobian(gs.perturbed_sphere(grid, 2.0, 0.05, seed=7).rho, grid, OP,
+                        gs.PsiSpec("constant", c=1.25))
+    for gauge in (False, True):
+        gs._BlockLU(coef, *gs._gauge(grid, gauge))
+        with pytest.raises(np.linalg.LinAlgError):
+            gs._BlockLU(np.zeros_like(coef), *gs._gauge(grid, gauge))
+        bad = coef.copy()
+        bad[1, 1, 5, 3] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            gs._BlockLU(bad, *gs._gauge(grid, gauge))
+    # J fine, the gauge's Schur complement singular: U = 0 makes S = C'Z zero
+    U, C = gs._gauge(grid, True)
+    with pytest.raises(np.linalg.LinAlgError):
+        gs._BlockLU(coef, np.zeros_like(U), C)
 
 
 _PSI_FAMILIES = [
@@ -320,10 +368,8 @@ def test_psi_complex_step_matches_central_difference(which, data, radius):
 
 def test_newton_singular_jacobian_raises(monkeypatch):
     g = gs.SphereGrid(16, 8)
-    n = g.n_lat * g.n_lon
-    # constant psi: the matrix is J bordered by the 3 gauge rows and columns
-    monkeypatch.setattr(gs, "_jacobian",
-                        lambda *args: scipy.sparse.csc_matrix((n + 3, n + 3)))
+    # constant psi: J is bordered by the 3 gauge rows and columns
+    monkeypatch.setattr(gs, "_jacobian", lambda *args: np.zeros((3, 3, *g.shape)))
     initial = gs.perturbed_sphere(g, 2.0, 0.05, seed=7)
     with pytest.raises(ConvergenceError, match="singular Jacobian") as err:
         gs.newton_solve(initial, OP, gs.PsiSpec("constant", c=1.25))
@@ -338,52 +384,47 @@ def test_newton_singular_jacobian_raises(monkeypatch):
 
 
 def test_newton_step_solves_the_linear_system_at_128x64(monkeypatch):
-    # the step from the fill-reducing sparse LU solves J s = -F
+    # the step from the block LU solves J s = -F
     grid = gs.SphereGrid(128, 64)
     psi = gs.PsiSpec("manufactured-ellipsoid", axes=(1.0, 1.0, 1.2), op=OP)
     initial = gs.RadialSurfaceField.sphere(grid, 1.05)
     seen = {}
-    splu = scipy.sparse.linalg.splu
 
-    class Recording:
-        def __init__(self, lu):
-            self.lu = lu
+    class Recording(gs._BlockLU):
+        def __init__(self, coef, U, C):
+            seen["coef"] = coef
+            super().__init__(coef, U, C)
 
         def solve(self, rhs):
-            seen["step"] = self.lu.solve(rhs)
+            seen["step"] = super().solve(rhs)
             return seen["step"]
 
-    def recording_splu(jac, **kwargs):
-        seen["jac"] = jac
-        return Recording(splu(jac, **kwargs))
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+    monkeypatch.setattr(gs, "_BlockLU", Recording)
     with pytest.raises(ConvergenceError):
         gs.newton_solve(initial, OP, psi, gs.SolveOptions(max_iter=1, max_halvings=0))
-    F = gs._residual_raw(initial.rho, grid, OP, psi)[0].ravel()
-    jac, step = seen["jac"], seen["step"]
-    r = jac @ step + F
+    F = gs._residual_raw(initial.rho, grid, OP, psi)[0]
+    coef, step = seen["coef"], seen["step"].reshape(grid.shape)
+    r = stencil_matvec(coef, step) + F
     assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(F)
     # sup norm: the pole rows hold entries near 2.4e6, so rounding alone puts
     # |J s + F| near eps (|J||s| + |F|) ~ 1.5e-10 |F| there; the step must be
     # backward stable row by row
     eps = np.finfo(float).eps
-    assert np.max(np.abs(r) / (abs(jac) @ np.abs(step) + np.abs(F))) <= 64 * eps
+    assert np.max(np.abs(r) / (stencil_matvec(np.abs(coef), np.abs(step)) + np.abs(F))) <= 64 * eps
 
 
 def _stale_handoff(grid, psi):
     """A handoff holding the LU factor of the Jacobian at another start."""
     other = gs.perturbed_sphere(grid, 2.5, 0.05, seed=1)
-    jac = gs._jacobian(other.rho, grid, OP, psi, gs._jacobian_pattern(grid, True))
     handoff = gs._Handoff()
-    handoff.lu = scipy.sparse.linalg.splu(jac, permc_spec="MMD_AT_PLUS_A")
+    handoff.lu = gs._BlockLU(gs._jacobian(other.rho, grid, OP, psi), *gs._gauge(grid, True))
     return handoff
 
 
 def _bordered_norm(surface, psi):
     """Sup norm of Newton's bordered residual at surface with mu = 0."""
     res = gs._residual_raw(surface.rho, surface.grid, OP, psi)[0]
-    C = gs._jacobian_pattern(surface.grid, True).C
+    C = gs._gauge(surface.grid, True)[1]
     return float(np.max(np.abs(np.concatenate([res.ravel(), surface.rho.ravel() @ C]))))
 
 
@@ -392,19 +433,19 @@ def test_newton_telemetry_adds_up(monkeypatch):
     g = gs.SphereGrid(16, 8)
     psi = gs.PsiSpec("constant", c=1.25)
     initial = gs.perturbed_sphere(g, 2.0, 0.05, seed=7)
-    raw = gs._pointwise_residual
+    raw = gs._shape_operator
     for stale in (False, True):
         handoff = _stale_handoff(g, psi) if stale else None
         norms = [_bordered_norm(initial, psi)]
         surfaces = []
 
-        def counting(q, grid, op, psi):
+        def counting(q, grid):
             surfaces.append(q[0].size // (grid.n_lat * grid.n_lon))
-            return raw(q, grid, op, psi)
+            return raw(q, grid)
 
-        monkeypatch.setattr(gs, "_pointwise_residual", counting)
+        monkeypatch.setattr(gs, "_shape_operator", counting)
         _, diag = gs.newton_solve(initial, OP, psi, None, handoff)
-        monkeypatch.setattr(gs, "_pointwise_residual", raw)
+        monkeypatch.setattr(gs, "_shape_operator", raw)
         steps = diag.n_iter - 1
         assert steps > 0
         logs = (diag.residual_evals, diag.jacobian_s, diag.linsolve_s, diag.line_search_s,
@@ -572,7 +613,7 @@ def test_monitor_path_summarises_recomputed_records():
 
 def test_path_csv_residual_norm_is_surface_max_residual(tmp_path):
     psi, path = _small_path()
-    gs.write_path_csv(tmp_path, path, OP, psi, 1e-2)
+    gs.write_path_csv(tmp_path, path)
     rows = (tmp_path / "path.csv").read_text().strip().splitlines()
     assert rows[0] == "t,max_kappa1,min_support,residual_norm"
     assert len(rows) == 1 + len(path.ts)
@@ -585,6 +626,27 @@ def test_path_csv_residual_norm_is_surface_max_residual(tmp_path):
                                       gs._BlendedPsi(psi, OP, path.ts[idx], 1e-2))
         assert again.shape == surf.grid.shape
         assert again.ravel().tolist() == res
+
+
+def test_path_keeps_newtons_fields_and_csv_evaluates_no_geometry(tmp_path, monkeypatch):
+    # each accepted step's residual, curvatures and support come from the
+    # Newton solve that accepted it, equal to their recomputation from the
+    # surface; write_path_csv then evaluates no geometry
+    psi, path = _small_path()
+    assert len(path.fields) == len(path.ts)
+    for t, surf, (res, kappa, support) in zip(path.ts, path.surfaces, path.fields):
+        datum = gs._BlendedPsi(psi, OP, t, 1e-2)
+        want, (_, _, shape, want_support) = gs._residual_raw(surf.rho, surf.grid, OP, datum)
+        assert np.array_equal(res, want)
+        assert np.array_equal(kappa, gs._principal(shape))
+        assert np.array_equal(support, want_support)
+
+    def refuse(*args):
+        raise AssertionError("write_path_csv evaluated geometry")
+
+    monkeypatch.setattr(gs, "_geometry", refuse)
+    gs.write_path_csv(tmp_path, path)
+    assert len(list(tmp_path.glob("surface_*.csv"))) == len(path.ts)
 
 
 def _newton_calls(monkeypatch, fail_at=None, error=ConeExitError):
@@ -658,20 +720,21 @@ def test_continuation_hands_its_factor_on(monkeypatch):
     # previous accepted step ended with, so the path factors fewer Jacobians
     # than it takes steps, and no factor stays on what it returns
     factors = []
-    splu = scipy.sparse.linalg.splu
+    block_lu = gs._BlockLU
 
-    def counting(*args, **kwargs):
-        factors.append(splu(*args, **kwargs))
-        return factors[-1]
+    class Counting(block_lu):
+        def __init__(self, *args):
+            super().__init__(*args)
+            factors.append(self)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+    monkeypatch.setattr(gs, "_BlockLU", Counting)
     psi = gs.PsiSpec("anisotropic-radial", c=3.0, p=3.0, eps=0.1, axis=(0.0, 0.0, 1.0))
     path = gs.homotopy_solve(OP, psi, gs.SphereGrid(32, 16), 0.5, 2.0, steps=20, eps=1e-2)
     assert path.ts[-1] == 1.0 and path.final_diagnostics.converged
     assert 0 < len(factors) < len(path.ts) - 1
     assert path.records == [gs.curvature_monitor(s) for s in path.surfaces]
-    assert _reaches({"lu": [factors[-1]]}, scipy.sparse.linalg.SuperLU)
-    assert not _reaches(path, scipy.sparse.linalg.SuperLU)
+    assert _reaches({"lu": [factors[-1]]}, block_lu)
+    assert not _reaches(path, block_lu)
 
 
 @pytest.mark.parametrize("steps", [2, 3, 4])
@@ -825,7 +888,7 @@ def test_solution_csv_matches_csv_writer_oracle(tmp_path, monkeypatch):
 
 def test_path_csv_matches_csv_writer_oracle(tmp_path):
     psi, path = _small_path()
-    gs.write_path_csv(tmp_path, path, OP, psi, 1e-2)
+    gs.write_path_csv(tmp_path, path)
     rows = []
     for idx, (t, surf, rec) in enumerate(zip(path.ts, path.surfaces, path.records)):
         res = gs.write_solution_csv(tmp_path / "again.csv", surf, OP,
