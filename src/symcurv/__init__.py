@@ -10,10 +10,10 @@ cones      Garding / admissible cone membership, sampling, convexity checks
 hypcheck   exact hyperbolicity decision and witness recovery
 concave    midpoint / exact-Hessian concavity verification
 geomsolve  radial-graph geometry, Newton and homotopy solvers
-cli        batch front end (config file in, reports + CSV out)
+cli        batch front end (config file in, reports + CSV out), loaded lazily
 """
 
-from . import symfun, combop, cones, hypcheck, concave, geomsolve, cli  # noqa: F401
+from . import symfun, combop, cones, hypcheck, concave, geomsolve  # noqa: F401
 from .combop import OperatorSpec
 from .cones import ConeSpec, VerificationReport
 
@@ -31,3 +31,10 @@ __all__ = [
     "ConeSpec",
     "VerificationReport",
 ]
+
+
+def __getattr__(name):   # PEP 562: `python -m symcurv.cli` must not find cli imported
+    if name != "cli":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return import_module(f"{__name__}.cli")

@@ -342,16 +342,19 @@ def _solve(cfg, op):
         initial = geomsolve.perturbed_sphere(grid, rho0, noise, cfg.seed)
     else:
         initial = geomsolve.RadialSurfaceField.sphere(grid, rho0)
+    handoff = geomsolve._Handoff()   # Newton leaves its last residual and geometry here
     try:
-        surface, diag = geomsolve.newton_solve(initial, op, psi, opts)
+        surface, diag = geomsolve.newton_solve(initial, op, psi, opts, handoff)
     except SymcurvError as exc:
         print(f"solve failed: {exc}")
         return [("solve", 0, -1.0, False)], _replay(cfg, op, exc)
     res_norm = diag.iterations[-1][0]
     print(f"converged in {diag.n_iter - 1} iterations, residual {res_norm:.3e}")
     os.makedirs(cfg.output_dir, exist_ok=True)
-    geomsolve.write_solution_csv(os.path.join(cfg.output_dir, "solution.csv"), surface, op, psi)
-    record = geomsolve.curvature_monitor(surface)
+    kappa, support = geomsolve._principal(handoff.geometry[2]), handoff.geometry[3]
+    geomsolve._write_solution(os.path.join(cfg.output_dir, "solution.csv"), surface,
+                              handoff.residual, kappa, support)
+    record = geomsolve._monitor_record(kappa, support)
     print(f"max kappa1 = {record['max_kappa1']:.6f}  min support = "
           f"{record['min_support']:.6f}  convex = {record['is_convex']}")
     return [("solve", diag.n_iter, res_norm, True)], None

@@ -430,9 +430,9 @@ _CHORD_THETA = 0.1  # a chord step must cut the residual below this fraction
 
 
 class _Handoff:
-    """What one Newton solve of a continuation hands to the next: the LU
-    factor in hand (lu), and the residual and geometry of the accepted
-    surface."""
+    """What a Newton solve leaves to its caller: the LU factor in hand (lu),
+    which a continuation's next solve tries first, and the residual and
+    geometry of the accepted surface."""
 
     lu = None
     residual = None
@@ -489,23 +489,21 @@ class _BlockLU:
 
     def __init__(self, coef, U, C):
         n_lat, m = coef.shape[2:]
-        blocks = np.zeros((3, n_lat, m, m))   # [dj + 1, j]: L_j, D_j, U_j
+        # L_j, D_j, U_j go into the storage of L, D'^-1 and G; elimination overwrites
+        L, inv, G = (np.zeros((k, m, m)) for k in (n_lat - 1, n_lat, n_lat - 1))
         rows = np.arange(m)
         for d in range(3):   # one add per longitude offset: offsets meeting at a node sum
             cols = (rows + d - 1) % m
-            blocks[:, :, rows, cols] += coef[:, d]
+            for block, c in ((L, coef[0, d, 1:]), (inv, coef[1, d]), (G, coef[2, d, :-1])):
+                block[:, rows, cols] += c
             # the ghost rows across the poles are the edge rows themselves
-            # (L_0 and U_{n_lat-1} are never read)
-            blocks[1, 0, rows, (cols + m // 2) % m] += coef[0, d, 0]
-            blocks[1, -1, rows, (cols + m // 2) % m] += coef[2, d, -1]
-        L, D, U_blocks = blocks
-        inv = np.empty_like(D)
-        G = np.empty_like(D[:-1])
+            inv[0, rows, (cols + m // 2) % m] += coef[0, d, 0]
+            inv[-1, rows, (cols + m // 2) % m] += coef[2, d, -1]
         for j in range(n_lat):
-            inv[j] = np.linalg.inv(D[j] - L[j] @ G[j - 1] if j else D[0])
+            inv[j] = np.linalg.inv(inv[j] - L[j - 1] @ G[j - 1] if j else inv[0])
             if j < n_lat - 1:
-                G[j] = inv[j] @ U_blocks[j]
-        self.L, self.inv, self.G, self.C = L[1:].copy(), inv, G, C
+                G[j] = inv[j] @ G[j]
+        self.L, self.inv, self.G, self.C = L, inv, G, C
         self.Z = self._solve_j(U) if U.size else U
         self.S_inv = np.linalg.inv(C.T @ self.Z)
         if not (np.all(np.isfinite(inv)) and np.all(np.isfinite(self.S_inv))):
@@ -635,6 +633,7 @@ def newton_solve(initial, op, psi, opts=None, _handoff=None):
             diag.line_search_s[-1] += perf_counter() - t1
         diag.factored.append(accepted is None)
         if accepted is None:
+            lu = None   # one factor alive at a time (a handoff keeps its own)
             t0 = perf_counter()
             coef = _jacobian(rho, grid, op, psi)
             t1 = perf_counter()
@@ -716,18 +715,19 @@ def barrier_check(psi, op, r1, r2=None, tol=1e-12):
         m2, w2 = sphere_margin(r2, "upper")
         details["inner_margin"], details["outer_margin"] = m1, m2
         # radial monotonicity: centered differences of rho^k psi at fixed nu,
-        # one psi call per normal over the whole (rho, direction) grid; rho^k
-        # by scalar pow (numpy's array pow differs in the last bit for k = 3)
+        # one psi call per 4 normals (memory grows with the chunk); rho^k by
+        # scalar pow (numpy's array pow differs in the last bit for k = 3)
         rhos = np.linspace(r1, r2, 33)
         X = rhos[:, None, None] * dirs
         rho_k = np.array([r**op.k for r in rhos])[:, None]
         nus = np.concatenate([dirs, np.eye(3), -np.eye(3)], axis=0)
         mono = _Worst()
-        for nu in nus:
-            g = rho_k * psi.evaluate(X, np.broadcast_to(nu, X.shape))
-            dg = (g[2:] - g[:-2]) / (2.0 * (rhos[1] - rhos[0]))
-            scale = 1.0 + np.max(np.abs(g)) / (r2 - r1)
-            mono.offer(-dg / scale, lambda i, j: ((tuple(X[i + 1, j]), tuple(nu)), None))
+        for chunk in np.split(nus, range(4, len(nus), 4)):
+            g = np.broadcast_to(rho_k * psi.evaluate(X, chunk[:, None, None, :]),
+                                chunk.shape[:1] + X.shape[:-1])
+            dg = (g[:, 2:] - g[:, :-2]) / (2.0 * (rhos[1] - rhos[0]))
+            for nu, d, scale in zip(chunk, dg, 1.0 + np.max(np.abs(g), axis=(1, 2)) / (r2 - r1)):
+                mono.offer(-d / scale, lambda i, j: ((tuple(X[i + 1, j]), tuple(nu)), None))
         details["monotonicity_margin"] = mono.value
         worst = min(m1, m2, mono.value)
         witness = {m1: w1, m2: w2, mono.value: mono.witness}.get(worst)

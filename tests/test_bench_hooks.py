@@ -8,7 +8,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import symcurv
+import symcurv.cli  # loaded on first access; install() traces it, so load it up front
 from symcurv.cones import ConeSpec
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"

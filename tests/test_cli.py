@@ -212,6 +212,38 @@ def test_solve_determinism_byte_identical(tmp_path):
     assert a == b
 
 
+def test_solve_writes_newtons_fields_without_new_geometry(tmp_path, monkeypatch, capsys):
+    # solution.csv and the printed monitor come from Newton's last accepted
+    # residual and geometry: no _geometry run after Newton returns, and the
+    # file is byte for byte what write_solution_csv writes for that surface
+    [config] = [c for c in DEMO_CONFIGS if c.stem == "solve_sphere"]
+    runs, solved = [], []
+    geometry, newton = geomsolve._geometry, geomsolve.newton_solve
+
+    def counting(*args):
+        runs.append(1)
+        return geometry(*args)
+
+    def recording(*args):
+        out = newton(*args)
+        solved.append((len(runs), out[0]))
+        return out
+
+    monkeypatch.setattr(geomsolve, "_geometry", counting)
+    monkeypatch.setattr(geomsolve, "newton_solve", recording)
+    assert cli.main([str(config), "--output", str(tmp_path / "run")]) == 0
+    [(at_return, surface)] = solved
+    assert len(runs) == at_return == 6
+    monkeypatch.undo()
+    cfg = cli.parse_config(config.read_text())
+    op = cli._operator(cfg)
+    geomsolve.write_solution_csv(tmp_path / "again.csv", surface, op, cli._psi(cfg, op))
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "run" / "solution.csv").read_bytes()
+    record = geomsolve.curvature_monitor(surface)
+    assert (f"max kappa1 = {record['max_kappa1']:.6f}  min support = "
+            f"{record['min_support']:.6f}  convex = {record['is_convex']}") in capsys.readouterr().out
+
+
 def test_homotopy_command(tmp_path, capsys):
     text = (
         "[run]\ncommand = homotopy\n"
@@ -282,14 +314,18 @@ sys.exit(f"loaded {loaded}" if loaded else 0)
 """
 
 
+def _src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def _probe_imports(tmp_path, banned, configs):
     # a fresh interpreter: this test process may have imported scipy already
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     runs = [f"{c}={int(c.stem == 'condition_c_fail')}" for c in configs]
     run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, banned, str(tmp_path), *runs],
-                         env=env, capture_output=True, text=True, timeout=120)
+                         env=_src_env(), capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
 
 
@@ -305,3 +341,14 @@ def test_no_config_loads_scipy(tmp_path):
     # all six demo configs in one interpreter: symcurv runs on numpy alone
     assert len(DEMO_CONFIGS) == 6
     _probe_imports(tmp_path, "scipy", DEMO_CONFIGS)
+
+
+def test_module_entry_point_runs_without_runtime_warning(tmp_path):
+    # the package loads cli on first access, so runpy finds no symcurv.cli
+    # already imported when it runs the module as __main__
+    config = DEMO_CONFIGS[0].parent / "condition_c.ini"
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "symcurv.cli",
+                          str(config), "--output", str(tmp_path / "out")],
+                         env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -381,6 +382,25 @@ def test_newton_singular_jacobian_raises(monkeypatch):
     assert diag.residual_evals == [6] and diag.factored == [True]
     assert len(diag.jacobian_s) == len(diag.linsolve_s) == 1
     assert diag.line_search_s == [0.0]
+
+
+def test_newton_holds_one_factor_of_l_inverse_and_g():
+    # a factor keeps L_j, D'_j^-1 and G_j: 3 n_lat n_lon^2 doubles.  Newton
+    # drops the factor in hand before it builds the next one, and builds
+    # none of the blocks it does not keep, so the traced peak of a whole
+    # solve stays within twice that
+    grid = gs.SphereGrid(64, 32)
+    psi = gs.PsiSpec("manufactured-ellipsoid", axes=(1.0, 1.0, 1.2), op=OP)
+    initial = gs.RadialSurfaceField.sphere(grid, 1.05)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, diag = gs.newton_solve(initial, OP, psi)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert diag.converged and sum(diag.factored) >= 2
+    assert peak <= 2 * 3 * grid.n_lat * grid.n_lon**2 * 8
 
 
 def test_newton_step_solves_the_linear_system_at_128x64(monkeypatch):
