@@ -287,11 +287,21 @@ def _check_condition_c(cfg, op):
     return refuted or ([("condition-c", 1, 0.0, True)], None)
 
 
-def _check_condition_q(cfg, op):
-    c_rep, refuted = _condition_c(op)
-    if refuted:
-        print(str(c_rep))
-        return refuted
+def _after_condition_c(scan):
+    """The handler that runs scan(cfg, op, condition-C report) when the
+    operator passes condition C, and otherwise prints the report and
+    returns its refutation."""
+    def handler(cfg, op):
+        c_rep, refuted = _condition_c(op)
+        if refuted:
+            print(str(c_rep))
+            return refuted
+        return scan(cfg, op, c_rep)
+    return handler
+
+
+@_after_condition_c
+def _check_condition_q(cfg, op, c_rep):
     rep = hypcheck.check_condition_q(op, cfg.trials, cfg.seed,
                                      hessian_trials=cfg.verify.get("hessian_trials"))
     return _outcome([_scan_row("condition-q", rep)], [rep],
@@ -316,11 +326,8 @@ def _verify_concavity(cfg, op):
         "hessian_witness": r.details.get("hessian_witness")})
 
 
-def _verify_guan(cfg, op):
-    c_rep, refuted = _condition_c(op)
-    if refuted:
-        print(str(c_rep))
-        return refuted
+@_after_condition_c
+def _verify_guan(cfg, op, c_rep):
     l = cfg.verify.get("l", op.k - 1)
     s_l = lower_operator(op, c_rep.witness, l, c_rep.N)
     rep = concave.guan_scan(op, s_l, cfg.trials, cfg.seed, delta=cfg.verify.get("delta", 1.0))
@@ -351,7 +358,7 @@ def _solve(cfg, op):
     res_norm = diag.iterations[-1][0]
     print(f"converged in {diag.n_iter - 1} iterations, residual {res_norm:.3e}")
     os.makedirs(cfg.output_dir, exist_ok=True)
-    kappa, support = geomsolve._principal(handoff.geometry[2]), handoff.geometry[3]
+    _, _, kappa, support = handoff.geometry
     geomsolve._write_solution(os.path.join(cfg.output_dir, "solution.csv"), surface,
                               handoff.residual, kappa, support)
     record = geomsolve._monitor_record(kappa, support)
@@ -361,12 +368,11 @@ def _solve(cfg, op):
 
 
 def _homotopy(cfg, op):
+    rows, witness = _barrier_check(cfg, op)
+    if witness is not None:
+        return rows, witness
     psi, grid, opts = _solver_inputs(cfg, op)
     r1, r2 = cfg.verify["r1"], cfg.verify["r2"]
-    barrier = geomsolve.barrier_check(psi, op, r1, r2)
-    rows = [_scan_row("barrier", barrier)]
-    if not barrier.passed:
-        return rows, {"witness": barrier.witness, "details": barrier.details}
     h_eps = cfg.verify.get("homotopy_eps", 1e-2)
     try:
         path = geomsolve.homotopy_solve(op, psi, grid, r1, r2, steps=cfg.verify.get("steps", 20),

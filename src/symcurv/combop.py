@@ -219,10 +219,10 @@ def _companion_roots(desc):
         first += 1
     while desc[last] == 0:
         last -= 1
-    p = np.array(desc[first: last + 1], dtype=float)
-    roots = -p[1:] / p[0]   # the companion matrix's first row
-    if p.size > 2:
-        a = _shift(p.size - 1).copy()
+    lead = float(desc[first])   # the first row in Python floats: overflow is inf, no warning
+    roots = np.array([-float(c) / lead for c in desc[first + 1: last + 1]])
+    if last - first > 1:
+        a = _shift(last - first).copy()
         a[0] = roots
         try:
             roots = np.linalg.eigvals(a)

@@ -21,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, DomainExitError, SingularityError
-from .symfun import Jet, as_tuple, sigma_all, sigma_all_batch
-from .combop import OperatorSpec, LowerOperatorSpec, q_eval_batch
+from .symfun import Jet, as_tuple, sigma_all_batch
+from .combop import OperatorSpec, LowerOperatorSpec, q_eval_batch, quotient_q
 from .cones import (
     ConeSpec,
     cone_contains,
@@ -60,14 +60,14 @@ class ScalarField:
 
     values(points) is the one float evaluation path.  batch_fn maps an
     (m, n) array to m values; the catalog fields below are built from this
-    batch kernel alone.  A hand-written field may give a scalar fn instead,
-    which values applies row by row to a tuple of n floats.  jet(x) runs
-    the same kernel on a Jet (the Hessian trials of concavity_scan), and
-    then fn gets a tuple of n jet columns: fn and batch_fn may use only
-    +, -, *, / and real powers (x[0] * x[1] and sum(x) qualify, float()
-    and math functions do not).  Calling the field evaluates one point
-    through values and raises SingularityError where the value is not
-    finite.
+    batch kernel alone.  A hand-written field may give fn instead, which
+    gets the tuple of the n columns and is called once per batch.  values
+    runs the kernel through jet(x), which also takes a Jet (the Hessian
+    trials of concavity_scan), and then fn gets n jet columns: fn and
+    batch_fn may use only +, -, *, / and real powers (x[0] * x[1] and
+    sum(x) qualify, float() and math functions do not), and a kernel that
+    breaks this raises DomainError.  Calling the field evaluates one point
+    through values and raises SingularityError where it is not finite.
     """
 
     name: str
@@ -87,21 +87,20 @@ class ScalarField:
         return value
 
     def values(self, points):
-        pts = np.asarray(points, dtype=float)
-        if self.batch_fn is not None:
-            return np.asarray(self.batch_fn(pts), dtype=float)
-        return np.array([self.fn(tuple(p)) for p in pts], dtype=float)
+        return self.jet(np.asarray(points, dtype=float))
 
     def jet(self, x):
-        """The field on a Jet x of value shape (m, n): a Jet of shape (m,);
-        DomainError when the kernel breaks the jet contract above."""
+        """The field on x of shape (m, n), a float array or a Jet (of value
+        shape (m, n)): batch_fn(x), or fn on the tuple of x's n columns, m
+        values of x's type; DomainError when the kernel breaks the contract
+        above."""
         try:
             out = (self.batch_fn(x) if self.batch_fn is not None
                    else self.fn(tuple(x[:, i] for i in range(self.n))))
-            if not isinstance(out, Jet):
-                raise TypeError(f"returned {type(out).__name__}, not a Jet")
-        except TypeError as exc:
-            raise DomainError(f"{self.name}: the exact Hessian evaluates the field on Taylor "
+            if not isinstance(out, type(x)):
+                raise TypeError(f"returned {type(out).__name__}, not {type(x).__name__}")
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"{self.name}: the field is evaluated on columns and on Taylor "
                               "jets, so fn may use only +, -, *, / and real powers") from exc
         return out
 
@@ -234,15 +233,25 @@ def _max_hessian_eigs(field, xs):
     return values
 
 
-def _midpoint_residuals(field, xs, dirs):
-    """Normalized 2f(x) - f(x+eps*xi) - f(x-eps*xi) for every (trial,
-    direction) pair: xs (m, n), dirs (m, d, n).  Per pair, eps starts at
-    0.05 * (1 + |x|_inf) and is halved (up to 60 times) until both probes
-    are inside the cone; when few pairs are left, several halvings are
-    tried in one pass (halving is exact, so the result is the same).
-    Returns (residuals, eps), shape (m, d); pairs with no admissible eps
-    carry +inf residual."""
-    m, d, n = dirs.shape
+_DIRECTIONS = 4  # random midpoint directions per trial
+
+
+def _midpoint_residuals(field, seed, start, xs, found):
+    """Normalized 2f(x) - f(x+eps*xi) - f(x-eps*xi) of one chunk of trials
+    (the first is trial start; found marks the rows of xs that hold a
+    point) along _DIRECTIONS random unit directions xi per trial.  Per
+    pair, eps starts at 0.05 * (1 + |x|_inf) and is halved (up to 60
+    times) until both probes are inside the cone; when few pairs are left,
+    several halvings are tried in one pass (halving is exact, so the result
+    is the same).  Returns the points found, their directions (m, d, n),
+    residuals and eps (m, d); pairs with no admissible eps or a NaN
+    residual carry +inf residual."""
+    n = field.n
+    dirs = _normal_chunk(seed, start, found.size, _DIRECTIONS * n)
+    dirs = dirs.reshape(found.size, _DIRECTIONS, n)[found]
+    dirs /= np.sqrt(np.sum(dirs * dirs, axis=2, keepdims=True))
+    xs = xs[found]
+    m, d, _ = dirs.shape
     base = np.repeat(xs, d, axis=0)
     flat = dirs.reshape(m * d, n)
     eps = np.repeat(0.05 * (1.0 + np.max(np.abs(xs), axis=1)), d)
@@ -269,25 +278,8 @@ def _midpoint_residuals(field, xs, dirs):
     f0 = vals[usable // d]
     plus, minus = vals[m: m + usable.size], vals[m + usable.size:]
     res[usable] = (2.0 * f0 - plus - minus) / (1.0 + np.abs(f0))
-    return res.reshape(m, d), eps.reshape(m, d)
-
-
-_DIRECTIONS = 4  # random midpoint directions per trial
-
-
-def _midpoint_chunk(field, seed, start, xs, found):
-    """Midpoint residuals of one chunk of trials (see _midpoint_residuals)
-    along _DIRECTIONS random unit directions per trial.  Returns the
-    trials that have a point, their directions, residuals (NaN read as
-    unresolved, +inf) and probe sizes."""
-    m, n = found.size, field.n
-    dirs = _normal_chunk(seed, start, m, _DIRECTIONS * n)
-    dirs = dirs.reshape(m, _DIRECTIONS, n)[found]
-    dirs /= np.sqrt(np.sum(dirs * dirs, axis=2, keepdims=True))
-    xs = xs[found]
-    res, eps = _midpoint_residuals(field, xs, dirs)
     res[np.isnan(res)] = np.inf
-    return xs, dirs, res, eps
+    return xs, dirs, res.reshape(m, d), eps.reshape(m, d)
 
 
 def concavity_scan(
@@ -335,7 +327,7 @@ def concavity_scan(
         sampled = _sample(field.domain, seed, parts)
         if c < len(mid_chunks):
             xs, found = sampled.pop(0)
-            xs, dirs, res, eps = _midpoint_chunk(field, seed, mid_chunks[c][0], xs, found)
+            xs, dirs, res, eps = _midpoint_residuals(field, seed, mid_chunks[c][0], xs, found)
             resolved = res < np.inf
             unresolved += int(resolved.size - resolved.sum())
             evaluated += int(resolved.any(axis=1).sum())
@@ -359,14 +351,6 @@ def concavity_scan(
 # ---------------------------------------------------------------------------
 # closed-form identity for the first sum-type quotient
 
-def _q1(lam, alpha):
-    e = sigma_all(lam, 2)
-    den = e[1] + alpha
-    if den == 0:
-        raise SingularityError("sigma_1 + alpha vanishes")
-    return (e[2] + alpha * e[1]) / den
-
-
 def q1_closed_form_check(lam, xi, alpha):
     """Both sides of the q_1 midpoint identity.
 
@@ -381,7 +365,8 @@ def q1_closed_form_check(lam, xi, alpha):
         raise DomainError("lam and xi must have the same length")
     plus = tuple(a + b for a, b in zip(lv, xv))
     minus = tuple(a - b for a, b in zip(lv, xv))
-    direct = 2 * _q1(lv, alpha) - _q1(plus, alpha) - _q1(minus, alpha)
+    q0, qp, qm = (quotient_q(v, 1, alpha) for v in (lv, plus, minus))
+    direct = 2 * q0 - qp - qm
     s1l = sum(lv)
     s1x = sum(xv)
     num = alpha * alpha * s1x * s1x

@@ -431,18 +431,19 @@ def _evidence_report(worst, tol, trials, seed, evaluated, details=None, gates=()
     (tracker, tol, count) in gates is one more check of that form with its
     own count of evidence.  The report passes when every check holds, and
     is inconclusive (and does not pass) when a check has no evidence.  Its
-    witness is that of the first failing check, else worst's; worst_value
-    and witness_extra are always worst's."""
+    witness and witness_extra are those of the first failing check, else
+    worst's; worst_value is always worst's."""
     checks = [(worst, tol, evaluated), *gates]
     failed = [w for w, t, _ in checks if not w.value >= -t]
     inconclusive = any(count == 0 for _, _, count in checks)
+    shown = (failed or [worst])[0]
     return VerificationReport(
         passed=not inconclusive and not failed,
         trials=trials,
         worst_value=worst.value,
         seed=seed,
-        witness=(failed or [worst])[0].witness,
-        witness_extra=worst.extra,
+        witness=shown.witness,
+        witness_extra=shown.extra,
         details={**(details or {}), "trials_evaluated": evaluated,
                  "trials_skipped": trials - evaluated, "inconclusive": inconclusive},
     )

@@ -208,18 +208,24 @@ class SurfaceGeometry:
     grid: SphereGrid
 
 
-def _geometry(q, grid):
-    """Pointwise geometry from the six local quantities q = (rho, rho_theta,
-    rho_phi, rho_thetatheta, rho_phiphi, rho_thetaphi) (each of shape
-    (..., n_lat, n_lon), real or complex): X, nu, the shape operator
-    (s11, s12, s22) in the orthonormal tangent frame that the Cholesky factor
-    of g gives (e_1 along d/dtheta), and the support <X, nu>."""
-    shape, w = _shape_operator(q, grid)
-    return (*_frame(q, w, grid), shape, q[0]**2 / w)
+def _geometry(rho, grid):
+    """Pointwise geometry of the surface rho from its six local quantities
+    q = (rho, rho_theta, rho_phi, rho_thetatheta, rho_phiphi, rho_thetaphi):
+    X, nu, the shape operator (s11, s12, s22) in the orthonormal tangent
+    frame that the Cholesky factor of g gives (e_1 along d/dtheta), its
+    eigenvalues kappa (last axis, descending) and the support <X, nu>.  The
+    discriminant sqrt((s11 - s22)^2 + 4 s12^2) of kappa does not cancel
+    near umbilic points, as sqrt(tr^2 - 4 det) would."""
+    q = _derivatives(rho, grid)
+    (s11, s12, s22), w = _shape_operator(q, grid)
+    tr, disc = s11 + s22, np.sqrt((s11 - s22) ** 2 + 4.0 * s12**2)
+    kappa = np.stack([(tr + disc) / 2.0, (tr - disc) / 2.0], axis=-1)
+    return (*_frame(q, w, grid), (s11, s12, s22), kappa, q[0]**2 / w)
 
 
 def _shape_operator(q, grid):
-    """The shape operator (s11, s12, s22) of _geometry, and W."""
+    """The shape operator (s11, s12, s22) of _geometry, and W, from the six
+    local quantities q (each of shape (..., n_lat, n_lon), real or complex)."""
     rho, r_t, r_p, r_tt, r_pp, r_pt = q
     st, ct, cot = _trig(grid)
 
@@ -257,21 +263,10 @@ def _frame(q, w, grid):
     return X, (X - grad_vec) / w[..., None]
 
 
-def _principal(shape):
-    """Principal curvatures (last axis, descending) of the shape operator
-    (s11, s12, s22) in an orthonormal frame.  The discriminant
-    sqrt((s11 - s22)^2 + 4 s12^2) does not cancel near umbilic points, as
-    sqrt(tr^2 - 4 det) would."""
-    s11, s12, s22 = shape
-    tr = s11 + s22
-    disc = np.sqrt((s11 - s22) ** 2 + 4.0 * s12**2)
-    return np.stack([(tr + disc) / 2.0, (tr - disc) / 2.0], axis=-1)
-
-
 def surface_geometry(surface):
     """Full geometry of one surface; curvatures sorted descending per node."""
-    X, nu, shape, support = _geometry(_derivatives(surface.rho, surface.grid), surface.grid)
-    return SurfaceGeometry(X=X, nu=nu, kappa=_principal(shape), support=support,
+    X, nu, _, kappa, support = _geometry(surface.rho, surface.grid)
+    return SurfaceGeometry(X=X, nu=nu, kappa=kappa, support=support,
                            rho=surface.rho, grid=surface.grid)
 
 
@@ -293,18 +288,13 @@ def _q_invariants(op, tr, det):
     return a0 + a1 * tr + a2 * det
 
 
-def _pointwise_residual(q, grid, op, psi):
-    """Q - psi per node from the six local quantities q, Q from tr and det
-    of the shape operator, and the geometry (X, nu, shape operator, support)
-    it was computed from (no admissibility test, no raising)."""
-    geo = _geometry(q, grid)
-    X, nu, (s11, s12, s22), _ = geo
-    return _q_invariants(op, s11 + s22, s11 * s22 - s12**2) - psi.evaluate(X, nu), geo
-
-
 def _residual_raw(rho, grid, op, psi):
-    """_pointwise_residual of the surface rho."""
-    return _pointwise_residual(_derivatives(rho, grid), grid, op, psi)
+    """Q - psi per node of the surface rho, Q from tr and det of the shape
+    operator, and the geometry (X, nu, kappa, support) it was computed from
+    (no admissibility test, no raising)."""
+    X, nu, (s11, s12, s22), kappa, support = _geometry(rho, grid)
+    return (_q_invariants(op, s11 + s22, s11 * s22 - s12**2) - psi.evaluate(X, nu),
+            (X, nu, kappa, support))
 
 
 def residual(surface, op, psi):
@@ -312,8 +302,8 @@ def residual(surface, op, psi):
     offending nodes) if any node's curvatures leave the admissible cone."""
     if op.n != 2:
         raise DomainError("surface solving is fixed to n=2 (two principal curvatures)")
-    res, (_, _, shape, _) = _residual_raw(surface.rho, surface.grid, op, psi)
-    bad = _inadmissible_nodes(op, _principal(shape))
+    res, (_, _, kappa, _) = _residual_raw(surface.rho, surface.grid, op, psi)
+    bad = _inadmissible_nodes(op, kappa)
     if bad:
         raise ConeExitError(
             f"curvatures leave the admissible cone at {len(bad)} node(s)", nodes=bad
@@ -547,18 +537,19 @@ def newton_solve(initial, op, psi, opts=None, _handoff=None):
     F(rho) + U mu = 0, C'rho = 0 (U: the components of r_hat; C: the same
     weighted by sin theta, normalized; a phase condition, Allgower & Georg,
     Numerical Continuation Methods, 1990), and converges only with
-    |mu| <= tol.  Backtracking halves the step until the sup-norm of the
-    (bordered) residual decreases and the iterate stays admissible
-    (positive rho, psi defined on it, curvatures in the cone).
+    |mu| <= tol.  Every step is one line search: it halves the step, at
+    most max_halvings times, until the sup-norm of the (bordered) residual
+    falls below a bound and the iterate stays admissible (positive rho,
+    psi defined on it, curvatures in the cone).
 
-    After a step that cuts the residual below theta = _CHORD_THETA = 0.1
-    times its value, the next step is first tried as a chord step with the
-    LU factor in hand (one solve, one residual evaluation; Deuflhard, Newton
-    Methods for Nonlinear Problems, 2004).  It is accepted if it is
-    positive, admissible and cuts the residual below theta times its value
-    again; otherwise Newton factors a fresh Jacobian and takes the damped
-    step from the same iterate.  homotopy_solve hands the factor in hand
-    at convergence to its next Newton solve, which tries it first.
+    A fresh Jacobian's step has the bound |F|.  After a step that cuts the
+    residual below theta = _CHORD_THETA = 0.1 times its value, the next
+    step is first a chord step with the LU factor in hand (Deuflhard,
+    Newton Methods for Nonlinear Problems, 2004): the same line search with
+    bound theta |F| and no halving, so one solve and at most one residual
+    evaluation.  When it finds no iterate, Newton factors a fresh Jacobian
+    at the same iterate.  homotopy_solve hands the factor in hand at
+    convergence to its next Newton solve, which tries it first.
 
     Raises ConvergenceError when no acceptable step exists or the iteration
     budget is exhausted; the exception carries the last iterate and
@@ -574,39 +565,53 @@ def newton_solve(initial, op, psi, opts=None, _handoff=None):
     rho = initial.rho.copy()
     mu = np.zeros(U.shape[1])
     res, geo = _residual_raw(rho, grid, op, psi)
-    X, nu, shape, _ = geo
-    bad = _inadmissible_nodes(op, _principal(shape))
+    X, nu, kappa, _ = geo
+    bad = _inadmissible_nodes(op, kappa)
     if bad:
         raise ConeExitError("initial surface is not admissible", nodes=bad)
     psi_scale = float(np.max(np.abs(psi.evaluate(X, nu))))
     tol = opts.tol if opts.tol is not None else 1e-10 * psi_scale
     diag = NewtonDiagnostics(tol=tol, mu=tuple(mu))
 
-    def bordered(rho, res, mu):
-        return np.concatenate([res.ravel() + U @ mu, rho.ravel() @ C])
+    def bordered(rho, res, mu):   # Newton's bordered residual and its sup norm
+        full = np.concatenate([res.ravel() + U @ mu, rho.ravel() @ C])
+        return full, float(np.max(np.abs(full)))
 
-    def candidate(step, scale, bound):
-        """(rho, mu, bordered residual, its norm, residual, geometry) of the iterate
-        rho + scale * step, or None unless it is positive, psi is defined
-        on it, it is admissible and its norm is finite and below bound."""
-        cand = rho + scale * step[:rho.size].reshape(grid.shape)
-        if not np.all(cand > 0):
-            return None
-        diag.residual_evals[-1] += 1
-        try:
-            cand_res, cand_geo = _residual_raw(cand, grid, op, psi)
-        except DomainError:   # psi.evaluate refuses the candidate surface
-            return None
-        cand_mu = mu + scale * step[rho.size:]
-        cand_full = bordered(cand, cand_res, cand_mu)
-        cand_norm = float(np.max(np.abs(cand_full)))
-        if (np.isfinite(cand_norm) and cand_norm < bound
-                and not _inadmissible_nodes(op, _principal(cand_geo[2]))):
-            return cand, cand_mu, cand_full, cand_norm, cand_res, cand_geo
+    def line_search(step, bound, halvings):
+        """(rho, mu, bordered residual, its norm, residual, geometry, scale,
+        halving) of the first iterate rho + scale * step, scale = 2^-halving
+        for halving = 0..halvings, that is positive, has psi defined on it,
+        is admissible and has a finite norm below bound; None if none has."""
+        for halving in range(halvings + 1):
+            scale = 0.5**halving
+            cand = rho + scale * step[:rho.size].reshape(grid.shape)
+            if not np.all(cand > 0):
+                continue
+            diag.residual_evals[-1] += 1
+            try:
+                cand_res, cand_geo = _residual_raw(cand, grid, op, psi)
+            except DomainError:   # psi.evaluate refuses the candidate surface
+                continue
+            cand_mu = mu + scale * step[rho.size:]
+            cand_full, cand_norm = bordered(cand, cand_res, cand_mu)
+            if (np.isfinite(cand_norm) and cand_norm < bound
+                    and not _inadmissible_nodes(op, cand_geo[2])):
+                return cand, cand_mu, cand_full, cand_norm, cand_res, cand_geo, scale, halving
         return None
 
-    full = bordered(rho, res, mu)
-    norm = float(np.max(np.abs(full)))
+    def timed(log, f, *args):
+        """f(*args), its time added to log[-1] (also when it raises)."""
+        t0 = perf_counter()
+        try:
+            return f(*args)
+        finally:
+            log[-1] += perf_counter() - t0
+
+    def failure(message):
+        return ConvergenceError(message, last_surface=RadialSurfaceField(rho, grid),
+                                diagnostics=diag)
+
+    full, norm = bordered(rho, res, mu)
     lu = _handoff.lu if _handoff is not None else None
     contracted = lu is not None
     for _ in range(opts.max_iter):
@@ -617,60 +622,38 @@ def newton_solve(initial, op, psi, opts=None, _handoff=None):
                 _handoff.lu, _handoff.residual, _handoff.geometry = lu, res, geo
             return RadialSurfaceField(rho, grid), diag
         if norm <= tol:   # F = -U mu: psi is obstructed, no solution up to translation
-            raise ConvergenceError(f"gauge multiplier |mu| = {np.max(np.abs(mu)):.3e} > tol",
-                                   last_surface=RadialSurfaceField(rho, grid), diagnostics=diag)
+            raise failure(f"gauge multiplier |mu| = {np.max(np.abs(mu)):.3e} > tol")
         diag.residual_evals.append(0)   # this step's record: times add into [-1]
         diag.jacobian_s.append(0.0)
         diag.linsolve_s.append(0.0)
         diag.line_search_s.append(0.0)
-        accepted, scale, halving = None, 1.0, 0
-        if contracted:   # chord step with the factor in hand
-            t0 = perf_counter()
-            step = lu.solve(-full)
-            t1 = perf_counter()
-            accepted = candidate(step, 1.0, _CHORD_THETA * norm)
-            diag.linsolve_s[-1] += t1 - t0
-            diag.line_search_s[-1] += perf_counter() - t1
-        diag.factored.append(accepted is None)
-        if accepted is None:
-            lu = None   # one factor alive at a time (a handoff keeps its own)
-            t0 = perf_counter()
-            coef = _jacobian(rho, grid, op, psi)
-            t1 = perf_counter()
-            diag.jacobian_s[-1] += t1 - t0
-            diag.residual_evals[-1] += 6
-            try:
-                lu = _BlockLU(coef, U, C)
-            except np.linalg.LinAlgError as exc:
-                diag.linsolve_s[-1] += perf_counter() - t1
-                raise ConvergenceError(f"singular Jacobian: {exc}",
-                                       last_surface=RadialSurfaceField(rho, grid),
-                                       diagnostics=diag) from None
-            step = lu.solve(-full)
-            t2 = perf_counter()
-            diag.linsolve_s[-1] += t2 - t1
-            for halving in range(opts.max_halvings + 1):
-                accepted = candidate(step, scale, norm)
-                if accepted is not None:
-                    break
-                scale *= 0.5
-            diag.line_search_s[-1] += perf_counter() - t2
-        if accepted is None:
-            raise ConvergenceError(
-                f"line search failed after {opts.max_halvings} halvings "
-                f"(residual {norm:.3e})",
-                last_surface=RadialSurfaceField(rho, grid),
-                diagnostics=diag,
-            )
+        diag.factored.append(False)
+        # the chord step, with the factor in hand, is the line search with
+        # bound theta * norm and no halving; a fresh factor's step follows it
+        for chord in (True, False)[not contracted:]:
+            if not chord:
+                lu = None   # one factor alive at a time (a handoff keeps its own)
+                diag.factored[-1] = True
+                diag.residual_evals[-1] += 6
+                coef = timed(diag.jacobian_s, _jacobian, rho, grid, op, psi)
+                try:
+                    lu = timed(diag.linsolve_s, _BlockLU, coef, U, C)
+                except np.linalg.LinAlgError as exc:
+                    raise failure(f"singular Jacobian: {exc}") from None
+            step = timed(diag.linsolve_s, lu.solve, -full)
+            bound, halvings = (_CHORD_THETA * norm, 0) if chord else (norm, opts.max_halvings)
+            accepted = timed(diag.line_search_s, line_search, step, bound, halvings)
+            if accepted is not None:
+                break
+        else:
+            raise failure(f"line search failed after {opts.max_halvings} halvings "
+                          f"(residual {norm:.3e})")
         contracted = accepted[3] < _CHORD_THETA * norm
-        rho, mu, full, norm, res, geo = accepted
+        rho, mu, full, norm, res, geo, scale, halving = accepted
         diag.iterations[-1] = (norm, scale, halving)
         diag.mu = tuple(mu.tolist())
-    raise ConvergenceError(
-        f"no convergence in {opts.max_iter} iterations (residual {norm:.3e}, tol {tol:.3e})",
-        last_surface=RadialSurfaceField(rho, grid),
-        diagnostics=diag,
-    )
+    raise failure(f"no convergence in {opts.max_iter} iterations (residual {norm:.3e}, "
+                  f"tol {tol:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -694,26 +677,24 @@ def barrier_check(psi, op, r1, r2=None, tol=1e-12):
     """
     if r2 is not None and not r1 < r2:
         raise DomainError("need r1 < r2 in annulus mode")
-    theta = tuple([1.0] * op.n)
-    q_round = float(q_eval(op, theta))
+    q_round = float(q_eval(op, tuple([1.0] * op.n)))
     dirs = _direction_grid()
     details = {}
+    worst = _Worst()   # the spheres' margins (NaN as -inf: _Worst skips NaN), then monotonicity's
 
     def sphere_margin(radius, sense):
         X = radius * dirs
         vals = psi.evaluate(X, dirs)
         bound = q_round / radius**op.k
         margins = (vals - bound) / bound if sense == "lower" else (bound - vals) / bound
-        i = int(np.argmin(margins))
-        return float(margins[i]), tuple(X[i])
+        worst.offer(np.where(np.isnan(margins), -np.inf, margins), lambda i: (tuple(X[i]), None))
+        return float(np.min(margins))
 
     if r2 is None:
-        worst, witness = sphere_margin(r1, "upper")
-        details["upper_margin"] = worst
+        details["upper_margin"] = sphere_margin(r1, "upper")
     else:
-        m1, w1 = sphere_margin(r1, "lower")
-        m2, w2 = sphere_margin(r2, "upper")
-        details["inner_margin"], details["outer_margin"] = m1, m2
+        details["inner_margin"] = sphere_margin(r1, "lower")
+        details["outer_margin"] = sphere_margin(r2, "upper")
         # radial monotonicity: centered differences of rho^k psi at fixed nu,
         # one psi call per 4 normals (memory grows with the chunk); rho^k by
         # scalar pow (numpy's array pow differs in the last bit for k = 3)
@@ -729,16 +710,10 @@ def barrier_check(psi, op, r1, r2=None, tol=1e-12):
             for nu, d, scale in zip(chunk, dg, 1.0 + np.max(np.abs(g), axis=(1, 2)) / (r2 - r1)):
                 mono.offer(-d / scale, lambda i, j: ((tuple(X[i + 1, j]), tuple(nu)), None))
         details["monotonicity_margin"] = mono.value
-        worst = min(m1, m2, mono.value)
-        witness = {m1: w1, m2: w2, mono.value: mono.witness}.get(worst)
-    return VerificationReport(
-        passed=bool(worst >= -tol),
-        trials=dirs.shape[0],
-        worst_value=float(worst),
-        seed=0,
-        witness=witness,
-        details=details,
-    )
+        worst.offer(np.array([mono.value]), lambda i: (mono.witness, None))
+    return VerificationReport(passed=bool(worst.value >= -tol), trials=dirs.shape[0],
+                              worst_value=worst.value, seed=0, witness=worst.witness,
+                              details=details)
 
 
 class _BlendedPsi:
@@ -814,8 +789,7 @@ def homotopy_solve(op, psi, grid, r1, r2, steps=20, eps=1e-2, opts=None,
     ts, surfaces, records, fields = [], [], [], []
 
     def accept(t, surface):
-        _, _, shape, support = handoff.geometry
-        kappa = _principal(shape)
+        _, _, kappa, support = handoff.geometry
         ts.append(t)
         surfaces.append(surface)
         records.append(_monitor_record(kappa, support))
@@ -889,8 +863,8 @@ def _bracketed_root(f, lo, hi):
 def curvature_monitor(surface, z=0.0):
     """Diagnostics of one surface: max kappa_1, min support, power sums
     P_m = sum_j kappa_j^m (max over nodes) and max of log P_m - m*z*log u."""
-    _, _, shape, support = _geometry(_derivatives(surface.rho, surface.grid), surface.grid)
-    return _monitor_record(_principal(shape), support, z)
+    geo = surface_geometry(surface)
+    return _monitor_record(geo.kappa, geo.support, z)
 
 
 def _monitor_record(kappa, support, z=0.0):
@@ -957,8 +931,8 @@ def _grid_cells(grid):
 def write_solution_csv(path, surface, op, psi):
     """One row per node: lon_index,lat_index,phi,theta,rho,kappa1,kappa2,support,residual.
     Returns the residual column, Q(kappa) - psi per node (shape (n_lat, n_lon))."""
-    res, (_, _, shape, support) = _residual_raw(surface.rho, surface.grid, op, psi)
-    _write_solution(path, surface, res, _principal(shape), support)
+    res, (_, _, kappa, support) = _residual_raw(surface.rho, surface.grid, op, psi)
+    _write_solution(path, surface, res, kappa, support)
     return res
 
 

@@ -119,12 +119,20 @@ def _float_roots(p):
     d, j = len(p) - 1, next(i for i, c in enumerate(p) if c)
     e = round((abs(p[j]).bit_length() - abs(p[d]).bit_length()) / (d - j)) if d > j else 0
     q = [c << e * m if e >= 0 else c << -e * (d - m) for m, c in enumerate(p)]
-    top = 1 << max(0, max(abs(c).bit_length() for c in q) - 1000)
+    bits = max(abs(c).bit_length() for c in q)
+    top = 1 << max(0, bits - 1000)
     desc = [c / top for c in reversed(q)]
     if desc[0] == 0 or desc[d - j] == 0:
         raise DomainError("coefficients span beyond float range; roots not computable")
     raw = _companion_roots(desc)
-    re, im = np.ldexp(raw.real, e), np.ldexp(raw.imag, e)
+    # |root| < d 2^(bits - bit length of the lead + 1), the companion matrix's
+    # row-sum bound; only past it (2 bits spare) can 2^e overflow and is
+    # np.errstate, about 1.7 us a call, worth paying
+    if e + bits - abs(q[-1]).bit_length() + d.bit_length() + 3 > 1024:
+        with np.errstate(over="ignore"):
+            re, im = np.ldexp(raw.real, e), np.ldexp(raw.imag, e)
+    else:
+        re, im = np.ldexp(raw.real, e), np.ldexp(raw.imag, e)
     if e and not ((np.ldexp(re, -e) == raw.real).all() and (np.ldexp(im, -e) == raw.imag).all()):
         raise DomainError("a root lies beyond float range; roots not computable")
     return re + 1j * im
@@ -256,6 +264,8 @@ def check_condition_q(op, samples, seed, hessian_trials=None):
     """Quotient-concavity verification for an operator passing the exact
     hyperbolicity check: for each l = 1..k-1 the field (Q / Q^N_l)^(1/(k-l))
     is scanned for concavity on Gamma_k samples; reports the worst case.
+    details["trials_evaluated"] and ["trials_skipped"] sum the per-l scans'
+    counters (0 and 0 when k = 1).
     """
     from . import concave
     from .cones import VerificationReport, _Worst
@@ -268,7 +278,8 @@ def check_condition_q(op, samples, seed, hessian_trials=None):
         )
     if op.k < 2:
         return VerificationReport(passed=True, trials=0, worst_value=0.0, seed=seed,
-                                  details={"note": "k=1 has no lower quotients"})
+                                  details={"note": "k=1 has no lower quotients",
+                                           "trials_evaluated": 0, "trials_skipped": 0})
     per_l = {}
     worst = _Worst()
     for l in range(1, op.k):
@@ -289,5 +300,7 @@ def check_condition_q(op, samples, seed, hessian_trials=None):
         details={"per_l": per_l,
                  "hessian_worst": max(r.details["hessian_worst"] for r in per_l.values()),
                  "witness_b": rep.witness,
-                 "inconclusive": inconclusive},
+                 "inconclusive": inconclusive,
+                 **{key: sum(r.details[key] for r in per_l.values())
+                    for key in ("trials_evaluated", "trials_skipped")}},
     )

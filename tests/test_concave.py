@@ -25,10 +25,9 @@ def test_fd_hessian_hooks():
 
 
 def test_fd_hessian_matches_sigma_hess():
+    # fn gets the tuple of columns of the probe points
     op = OperatorSpec(4, 2, (0, 0, 1))
-    from symcurv.combop import q_eval
-
-    fld = concave.ScalarField("sigma2", 4, lambda x: float(q_eval(op, x)))
+    fld = concave.ScalarField("sigma2", 4, lambda x: combop.q_eval_batch(op, np.stack(x, -1)))
     rng = np.random.default_rng(0)
     for _ in range(10):
         x = tuple(rng.uniform(0.5, 2.0, 4))
@@ -218,6 +217,47 @@ def test_quotient_field_rejects_k_out_of_range():
             concave.quotient_qk_field(n, k, 1.0)
     with pytest.raises(DomainError):
         concave.quotient_qk_field(4, 2, -1.0)
+
+
+def test_hand_written_fn_runs_once_on_columns():
+    # values on m points calls fn once, on the tuple of the n columns, and
+    # the sigma_2 control's report is the batch kernel's and the one the
+    # per-row evaluation gave
+    calls = []
+
+    def sigma2(x):
+        calls.append(x)
+        return x[0] * x[1]
+
+    cone = ConeSpec("garding", 2, 2)
+    fld = concave.ScalarField("sigma2", 2, sigma2, domain=cone)
+    pts = np.array([[1.0, 2.0], [3.0, 0.5], [0.25, 4.0]])
+    assert fld.values(pts).tolist() == [2.0, 1.5, 1.0]
+    assert len(calls) == 1 and [c.tolist() for c in calls[0]] == pts.T.tolist()
+    rep = concave.concavity_scan(fld, 300, seed=4)
+    batch = concave.ScalarField("sigma2", 2, domain=cone, batch_fn=lambda p: p[:, 0] * p[:, 1])
+    assert rep == concave.concavity_scan(batch, 300, seed=4)
+    assert rep.worst_value == pytest.approx(-0.07837004556411269, rel=1e-12)
+    assert rep.witness == pytest.approx((1.0728845638128774, 49.39794077312459), rel=1e-12)
+    assert rep.details["hessian_worst"] == pytest.approx(94.84277137861612, rel=1e-12)
+    # a math function breaks the contract on the columns too
+    with pytest.raises(DomainError, match=r"only \+, -, \*, / and real powers"):
+        concave.ScalarField("sqrt", 2, lambda x: math.sqrt(x[0])).values(pts)
+
+
+def test_hessian_only_failure_keeps_its_own_extra():
+    # with the midpoint gate out of reach, the witness is the Hessian point
+    # and the extra is the Hessian check's (none), not a midpoint trial's
+    # direction and eps taken at another point
+    fld = concave.ScalarField("sigma2", 2, lambda x: x[0] * x[1],
+                              domain=ConeSpec("garding", 2, 2))
+    rep = concave.concavity_scan(fld, 300, seed=4, tol=10.0)
+    assert not rep.passed and rep.witness == rep.details["hessian_witness"]
+    assert rep.witness_extra is None
+    # a failing midpoint gate shows its own trial's direction and eps
+    rep = concave.concavity_scan(fld, 300, seed=4)
+    assert rep.witness != rep.details["hessian_witness"]
+    assert sorted(rep.witness_extra) == ["direction", "eps"]
 
 
 def test_scan_requires_domain():

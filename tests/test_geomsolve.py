@@ -238,13 +238,18 @@ def _jacobian_cases(grid):
 @pytest.mark.parametrize("shape", [(16, 8), (32, 16)])
 def test_invariant_residual_agrees_with_kappa_oracle(shape):
     # Q from (1, tr W, det W), and the manufactured psi from the ellipsoid's
-    # tr and det, against Q of the eigenvalue pairs
+    # tr and det, against Q of the eigenvalue pairs; the residual's
+    # curvatures against eigvalsh of W
     grid = gs.SphereGrid(*shape)
     for surf, psi in _jacobian_cases(grid):
-        res, (X, nu, shape_op, _) = gs._residual_raw(surf.rho, grid, OP, psi)
-        want = kappa_residual(OP, shape_op, X, nu, psi)
+        res, (X, nu, kappa, _) = gs._residual_raw(surf.rho, grid, OP, psi)
+        s11, s12, s22 = gs._geometry(surf.rho, grid)[2]
+        want = kappa_residual(OP, (s11, s12, s22), X, nu, psi)
         scale = np.abs(psi.evaluate(X, nu)).max()
         assert np.abs(res - want).max() <= 1e-12 * scale, psi
+        eig = np.linalg.eigvalsh(np.stack([np.stack([s11, s12], -1),
+                                           np.stack([s12, s22], -1)], -2))
+        assert np.abs(kappa - eig[..., ::-1]).max() <= 1e-12 * np.abs(eig).max(), psi
 
 
 @pytest.mark.parametrize("shape", [(4, 2), (10, 5), (16, 8), (32, 16)])
@@ -278,7 +283,10 @@ def test_trimmed_complex_step_is_bit_identical(shape):
     for surf, psi in _jacobian_cases(grid):
         q = np.stack(gs._derivatives(surf.rho, grid))[:, None]
         batch = q + 1j * gs._CS_STEP * np.eye(6)[:, :, None, None]
-        full = gs._pointwise_residual(batch, grid, OP, psi)[0].imag / gs._CS_STEP
+        (s11, s12, s22), w = gs._shape_operator(batch, grid)
+        full = gs._q_invariants(OP, s11 + s22, s11 * s22 - s12**2) \
+            - psi.evaluate(*gs._frame(batch, w, grid))
+        full = full.imag / gs._CS_STEP
         want = np.einsum("qji,qab->abji", full, gs._stencil_weights(grid))
         assert np.array_equal(gs._jacobian(surf.rho, grid, OP, psi), want), psi
 
@@ -596,6 +604,21 @@ def test_barrier_examples():
         gs.barrier_check(psi_eq, OP, 2.0, 0.5)
 
 
+def test_barrier_fails_where_psi_is_not_a_number():
+    # a NaN sphere margin reads -inf and fails the check at its point, in
+    # both modes (the worst-case tracker alone skips NaN)
+    class Holed:
+        def evaluate(self, X, nu):
+            vals = 3.0 / np.sqrt((X * X).sum(-1)) ** 3 + 0.0 * nu[..., 0]
+            vals[..., 5] = np.nan
+            return vals
+
+    for r2 in (None, 2.0):
+        rep = gs.barrier_check(Holed(), OP, 0.5, r2)
+        assert not rep.passed and rep.worst_value == -np.inf
+        assert rep.witness == tuple(0.5 * gs._direction_grid()[5])
+
+
 @pytest.mark.parametrize("op, psi, r1, r2, mono_worst", [
     (OP, gs.PsiSpec("constant", c=1.25), 0.5, 2.0, True),
     (OP, gs.PsiSpec("radial-power", c=2.0, p=3.0), 0.5, 2.0, True),
@@ -656,9 +679,9 @@ def test_path_keeps_newtons_fields_and_csv_evaluates_no_geometry(tmp_path, monke
     assert len(path.fields) == len(path.ts)
     for t, surf, (res, kappa, support) in zip(path.ts, path.surfaces, path.fields):
         datum = gs._BlendedPsi(psi, OP, t, 1e-2)
-        want, (_, _, shape, want_support) = gs._residual_raw(surf.rho, surf.grid, OP, datum)
+        want, (_, _, want_kappa, want_support) = gs._residual_raw(surf.rho, surf.grid, OP, datum)
         assert np.array_equal(res, want)
-        assert np.array_equal(kappa, gs._principal(shape))
+        assert np.array_equal(kappa, want_kappa)
         assert np.array_equal(support, want_support)
 
     def refuse(*args):

@@ -119,7 +119,6 @@ def test_coefficient_span_beyond_float_range_raises():
         hypcheck.real_rooted([2**5000, 1, 2**5000, 1])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflow of the first row or 2^e
 @pytest.mark.parametrize("coeffs, mode", [
     # the companion matrix's first row overflows (roots near 1 and 2^-3000;
     # 1e300 t^0 + 1e-300 t^2), where numpy raised LinAlgError
@@ -264,3 +263,15 @@ def test_check_condition_q_small_scan():
     assert repk.passed
     op1 = OperatorSpec.sum_type(4, 1, F(2))
     assert hypcheck.check_condition_q(op1, 10, seed=7).passed  # k=1, vacuous
+
+
+def test_check_condition_q_sums_the_evidence_counters():
+    # the report's trial counts are the per-l scans' counts, summed
+    rep = hypcheck.check_condition_q(OperatorSpec(4, 3, (0, 0, 2, 1)), 50, seed=1)
+    per_l = rep.details["per_l"].values()
+    for key in ("trials_evaluated", "trials_skipped"):
+        assert rep.details[key] == sum(r.details[key] for r in per_l)
+    assert rep.details["trials_evaluated"] + rep.details["trials_skipped"] == rep.trials == 100
+    assert rep.details["trials_evaluated"] > 0
+    vacuous = hypcheck.check_condition_q(OperatorSpec.sum_type(4, 1, F(2)), 10, seed=7)
+    assert (vacuous.details["trials_evaluated"], vacuous.details["trials_skipped"]) == (0, 0)
