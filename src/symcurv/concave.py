@@ -58,28 +58,23 @@ __all__ = [
 class ScalarField:
     """A named scalar function with its domain cone (None = all of R^n).
 
-    values(points) is the one float evaluation path.  batch_fn maps an
-    (m, n) array to m values; the catalog fields below are built from this
-    batch kernel alone.  A hand-written field may give fn instead, which
-    gets the tuple of the n columns and is called once per batch.  values
-    runs the kernel through jet(x), which also takes a Jet (the Hessian
-    trials of concavity_scan), and then fn gets n jet columns: fn and
-    batch_fn may use only +, -, *, / and real powers (x[0] * x[1] and
-    sum(x) qualify, float() and math functions do not), and a kernel that
-    breaks this raises DomainError.  Calling the field evaluates one point
-    through values and raises SingularityError where it is not finite.
+    values(points) is the one float evaluation path.  fn, the one kernel,
+    gets m points entry-major (x[i] is the column of entry i) and returns
+    their m values.  values runs fn through jet(x), which also takes a Jet
+    (the Hessian trials of concavity_scan), and then x[i] is a jet column:
+    fn may use only +, -, *, / and real powers (x[0] * x[1] and sum(x)
+    qualify, float() and math functions do not), and a kernel that breaks
+    this raises DomainError.  Calling the field evaluates one point through
+    values and raises SingularityError where it is not finite.
     """
 
     name: str
     n: int
-    fn: object = None
+    fn: object
     domain: ConeSpec = None
-    batch_fn: object = None
 
     def __call__(self, x):
         point = as_tuple(x)
-        if len(point) != self.n:
-            raise DomainError(f"field expects n={self.n}, got {len(point)}")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             value = float(self.values([point])[0])
         if not np.isfinite(value):
@@ -90,13 +85,13 @@ class ScalarField:
         return self.jet(np.asarray(points, dtype=float))
 
     def jet(self, x):
-        """The field on x of shape (m, n), a float array or a Jet (of value
-        shape (m, n)): batch_fn(x), or fn on the tuple of x's n columns, m
-        values of x's type; DomainError when the kernel breaks the contract
-        above."""
+        """The field on x of shape (m, n), a float array or a Jet: fn on
+        x's entry-major view, m values of x's type; DomainError on any
+        other shape or when the kernel breaks the contract above."""
+        if x.shape[1:] != (self.n,):
+            raise DomainError(f"{self.name} expects points of shape (m, {self.n}), got {x.shape}")
         try:
-            out = (self.batch_fn(x) if self.batch_fn is not None
-                   else self.fn(tuple(x[:, i] for i in range(self.n))))
+            out = self.fn(x.transpose((1, 0)))
             if not isinstance(out, type(x)):
                 raise TypeError(f"returned {type(out).__name__}, not {type(x).__name__}")
         except (TypeError, ValueError) as exc:
@@ -117,18 +112,18 @@ class ScalarField:
 
 def _ratio_field(name, n, domain, num, den=None, power=1.0):
     """The field (num / den)^power of two OperatorSpecs (num^power when den
-    is None): one sigma_all_batch pass up to the larger degree, then each
-    operator's float coefficients, zero-padded to that length, against it."""
+    is None): one sigma_all_batch pass over the columns' (m, n) view up to the
+    larger degree, dotted with each operator's zero-padded coefficients."""
     ops = (num,) if den is None else (num, den)
     top = max(op.k for op in ops)
     coeffs = [np.array([float(a) for a in op.alphas] + [0.0] * (top - op.k)) for op in ops]
 
-    def batch(pts):
-        e = sigma_all_batch(pts, top)
+    def kernel(cols):
+        e = sigma_all_batch(cols.transpose((1, 0)), top)
         value = e @ coeffs[0] if den is None else (e @ coeffs[0]) / (e @ coeffs[1])
         return value if power == 1 else value ** power
 
-    return ScalarField(name=name, n=n, domain=domain, batch_fn=batch)
+    return ScalarField(name=name, n=n, fn=kernel, domain=domain)
 
 
 def quotient_qk_field(n, k, alpha, domain=None):
@@ -190,8 +185,6 @@ def fd_hessian(field, x, h):
     A probe outside the domain cone raises DomainExitError carrying it."""
     xv = np.array([float(v) for v in as_tuple(x)])
     n = xv.size
-    if field.n != n:
-        raise DomainError(f"field expects n={field.n}, got {n}")
     steps = h * np.eye(n)
     # probes[a, b, i, j] = x + s_a h e_i + s_b h e_j, s = (1, -1)
     probes = np.array([[xv + a * steps[:, None] + b * steps for b in (1, -1)]

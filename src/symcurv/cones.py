@@ -201,8 +201,11 @@ def cone_margins_batch(spec, points):
 
     sigma_m(x) / (C(n,m) max|x|^m) is computed as sigma_m(x / max|x|) / C(n,m),
     so no power of max|x| can underflow or overflow.  The origin's margin is
-    that of sigma_0 = 1: alpha / alpha = 1 in Gamma~_1 with alpha > 0, else 0."""
+    that of sigma_0 = 1: alpha / alpha = 1 in Gamma~_1 with alpha > 0, else 0.
+    A last axis of other than spec.n entries raises DomainError."""
     cols = _entry_major(points)
+    if cols.shape[0] != spec.n:
+        raise DomainError(f"{spec.kind} cone expects n={spec.n} entries, got {cols.shape[0]}")
     k = spec.k
     top = np.abs(cols).max(axis=0)
     e = _sigma_rows(cols / np.where(top > 0.0, top, 1.0), k)
@@ -411,8 +414,8 @@ class _Worst:
     extra).  offer(values, at) takes one chunk's values, of any shape, and
     calls at(*index) for the (witness, extra) of the chunk's first minimum
     only when that minimum is strictly below the best so far: the first
-    minimum wins within a chunk and across chunks, empty chunks and values
-    that are all +inf (or NaN) change nothing."""
+    minimum wins within a chunk and across chunks, and empty chunks and
+    all-+inf values change nothing.  A NaN reads as -inf at its own index."""
 
     def __init__(self):
         self.value, self.witness, self.extra = np.inf, None, None
@@ -420,8 +423,9 @@ class _Worst:
     def offer(self, values, at):
         if np.size(values):
             index = np.unravel_index(np.argmin(values), np.shape(values))
-            if values[index] < self.value:
-                self.value = float(values[index])
+            value = -np.inf if np.isnan(values[index]) else float(values[index])
+            if value < self.value:
+                self.value = value
                 self.witness, self.extra = at(*index)
 
 

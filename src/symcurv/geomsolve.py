@@ -680,14 +680,14 @@ def barrier_check(psi, op, r1, r2=None, tol=1e-12):
     q_round = float(q_eval(op, tuple([1.0] * op.n)))
     dirs = _direction_grid()
     details = {}
-    worst = _Worst()   # the spheres' margins (NaN as -inf: _Worst skips NaN), then monotonicity's
+    worst = _Worst()   # the spheres' margins, then monotonicity's
 
     def sphere_margin(radius, sense):
         X = radius * dirs
         vals = psi.evaluate(X, dirs)
         bound = q_round / radius**op.k
         margins = (vals - bound) / bound if sense == "lower" else (bound - vals) / bound
-        worst.offer(np.where(np.isnan(margins), -np.inf, margins), lambda i: (tuple(X[i]), None))
+        worst.offer(margins, lambda i: (tuple(X[i]), None))
         return float(np.min(margins))
 
     if r2 is None:
@@ -707,7 +707,9 @@ def barrier_check(psi, op, r1, r2=None, tol=1e-12):
             g = np.broadcast_to(rho_k * psi.evaluate(X, chunk[:, None, None, :]),
                                 chunk.shape[:1] + X.shape[:-1])
             dg = (g[:, 2:] - g[:, :-2]) / (2.0 * (rhos[1] - rhos[0]))
-            for nu, d, scale in zip(chunk, dg, 1.0 + np.max(np.abs(g), axis=(1, 2)) / (r2 - r1)):
+            # fmax skips NaN, so a NaN of psi fails at its own point, not the whole normal's
+            scales = 1.0 + np.fmax.reduce(np.abs(g), axis=(1, 2)) / (r2 - r1)
+            for nu, d, scale in zip(chunk, dg, scales):
                 mono.offer(-d / scale, lambda i, j: ((tuple(X[i + 1, j]), tuple(nu)), None))
         details["monotonicity_margin"] = mono.value
         worst.offer(np.array([mono.value]), lambda i: (mono.witness, None))
@@ -746,7 +748,6 @@ class _BlendedPsi:
 class HomotopyPath:
     ts: list
     surfaces: list
-    records: list          # curvature_monitor record per accepted step
     fields: list           # (residual, kappa, support) per accepted step, from Newton
     final_diagnostics: NewtonDiagnostics
 
@@ -786,13 +787,12 @@ def homotopy_solve(op, psi, grid, r1, r2, steps=20, eps=1e-2, opts=None,
 
     r0 = _bracketed_root(round_residual, 1e-3, 1e3)
     handoff = _Handoff()
-    ts, surfaces, records, fields = [], [], [], []
+    ts, surfaces, fields = [], [], []
 
     def accept(t, surface):
         _, _, kappa, support = handoff.geometry
         ts.append(t)
         surfaces.append(surface)
-        records.append(_monitor_record(kappa, support))
         fields.append((handoff.residual, kappa, support))
 
     surface, diag = newton_solve(RadialSurfaceField.sphere(grid, r0), op, probe, opts, handoff)
@@ -813,15 +813,14 @@ def homotopy_solve(op, psi, grid, r1, r2, steps=20, eps=1e-2, opts=None,
                 raise ContinuationError(
                     f"continuation step underflow below 0.0001 at t={t:.6f}",
                     last_t=t,
-                    path=HomotopyPath(ts, surfaces, records, fields, diag),
+                    path=HomotopyPath(ts, surfaces, fields, diag),
                 )
             continue
         surface, diag = step
         t = t_next
         accept(t, surface)
         dt = min(base_dt, dt * 2.0)
-    return HomotopyPath(ts=ts, surfaces=surfaces, records=records, fields=fields,
-                        final_diagnostics=diag)
+    return HomotopyPath(ts=ts, surfaces=surfaces, fields=fields, final_diagnostics=diag)
 
 
 def _continuation_step(rho, grid, op, psi, opts, handoff):
@@ -887,9 +886,9 @@ def _monitor_record(kappa, support, z=0.0):
 
 
 def monitor_path(path):
-    """The per-step curvature_monitor records that homotopy_solve kept
-    (path.records), plus their maxima over the whole continuation path."""
-    records = path.records
+    """curvature_monitor's record of each step, from the curvatures and support
+    in path.fields, plus their maxima over the whole continuation path."""
+    records = [_monitor_record(kappa, support) for _, kappa, support in path.fields]
     summary = {
         "max_kappa1": max(r["max_kappa1"] for r in records),
         "min_support": min(r["min_support"] for r in records),
@@ -950,11 +949,10 @@ def write_path_csv(out_dir, path):
     (the bytes write_solution_csv writes for each surface and its datum)."""
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    for idx, (t, surface, record, (res, kappa, support)) in enumerate(
-            zip(path.ts, path.surfaces, path.records, path.fields)):
+    for idx, (t, surface, (res, kappa, support)) in enumerate(
+            zip(path.ts, path.surfaces, path.fields)):
         _write_solution(os.path.join(out_dir, f"surface_{idx:04d}.csv"),
                         surface, res, kappa, support)
-        rows.append((t, record["max_kappa1"], record["min_support"],
-                     float(np.max(np.abs(res)))))
+        rows.append((t, np.max(kappa[..., 0]), np.min(support), np.max(np.abs(res))))
     _write_csv(os.path.join(out_dir, "path.csv"),
                ["t", "max_kappa1", "min_support", "residual_norm"], np.array(rows, dtype=float).T)

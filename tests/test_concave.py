@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 from functools import lru_cache
@@ -25,7 +26,7 @@ def test_fd_hessian_hooks():
 
 
 def test_fd_hessian_matches_sigma_hess():
-    # fn gets the tuple of columns of the probe points
+    # fn gets the columns of the probe points
     op = OperatorSpec(4, 2, (0, 0, 1))
     fld = concave.ScalarField("sigma2", 4, lambda x: combop.q_eval_batch(op, np.stack(x, -1)))
     rng = np.random.default_rng(0)
@@ -34,6 +35,49 @@ def test_fd_hessian_matches_sigma_hess():
         got = concave.fd_hessian(fld, x, 1e-4 * (1.0 + max(x)))
         want = np.array(symfun.sigma_hess(x, 2), dtype=float)
         assert got == pytest.approx(want, rel=1e-5, abs=1e-5)
+
+
+@pytest.mark.parametrize("domain", [None, ConeSpec("garding", 2, 2)])
+def test_fd_hessian_checks_the_width(domain):
+    fld = concave.ScalarField("x1x2", 2, lambda x: x[0] * x[1], domain=domain)
+    for x in ((1.0, 2.0, 3.0), (1.0,)):
+        with pytest.raises(DomainError):
+            concave.fd_hessian(fld, x, 1e-3)
+
+
+def test_field_door_checks_the_width():
+    # values and jet take (m, n) points only: the field of two entries is
+    # not the field of three, and a hand-written fn never sees extra columns
+    fld = concave.sum_root_field(3, 2, 2.0)
+    with pytest.raises(DomainError, match=r"shape \(m, 3\)"):
+        fld.values(np.ones((4, 2)))
+    seen = []
+    hand = concave.ScalarField("x0", 2, lambda x: seen.append(x) or x[0])
+    for f in (fld, hand):
+        n = f.n
+        for bad in (np.ones((4, n + 1)), np.ones((4, n - 1)), np.ones(n), np.ones((1, n, 1)),
+                    Jet.of(np.ones((4, n + 1)), 1.0, 0.0), Jet.of(np.ones(n), 1.0, 0.0)):
+            with pytest.raises(DomainError, match=f"expects points of shape \\(m, {n}\\)"):
+                f.jet(bad)
+    with pytest.raises(DomainError):
+        hand((1.0, 2.0, 3.0))
+    assert not seen and hand.values(np.ones((4, 2))).tolist() == [1.0] * 4
+
+
+def test_catalog_fn_takes_entry_major_columns():
+    # a catalog field's kernel is its fn: it gets x[i] = column i, for
+    # arrays and for jets, as a hand-written fn does
+    fld = concave.sum_root_field(3, 2, 2.0)
+    seen = []
+    spy = dataclasses.replace(fld, fn=lambda x: seen.append(x) or fld.fn(x))
+    pts = np.array([[1.0, 2.0, 3.0], [0.5, 0.25, 4.0]])
+    assert spy.values(pts).tolist() == fld.values(pts).tolist()
+    assert seen[0].shape == (3, 2) and seen[0].tolist() == pts.T.tolist()
+    jet = Jet.of(pts, pts[::-1], 0.0)
+    assert spy.jet(jet).c.tolist() == fld.jet(jet).c.tolist()
+    assert isinstance(seen[1], Jet) and seen[1].c.tolist() == jet.c.transpose(0, 2, 1).tolist()
+    want = [math.sqrt(symfun.elem_sym(p, 2) + 2.0 * symfun.elem_sym(p, 1)) for p in pts]
+    assert fld.fn(pts.T) == pytest.approx(want, rel=1e-14)
 
 
 def test_fd_hessian_domain_exit():
@@ -220,9 +264,8 @@ def test_quotient_field_rejects_k_out_of_range():
 
 
 def test_hand_written_fn_runs_once_on_columns():
-    # values on m points calls fn once, on the tuple of the n columns, and
-    # the sigma_2 control's report is the batch kernel's and the one the
-    # per-row evaluation gave
+    # values on m points calls fn once, on the entry-major columns, and the
+    # sigma_2 control's report is the one the per-row evaluation gave
     calls = []
 
     def sigma2(x):
@@ -235,8 +278,6 @@ def test_hand_written_fn_runs_once_on_columns():
     assert fld.values(pts).tolist() == [2.0, 1.5, 1.0]
     assert len(calls) == 1 and [c.tolist() for c in calls[0]] == pts.T.tolist()
     rep = concave.concavity_scan(fld, 300, seed=4)
-    batch = concave.ScalarField("sigma2", 2, domain=cone, batch_fn=lambda p: p[:, 0] * p[:, 1])
-    assert rep == concave.concavity_scan(batch, 300, seed=4)
     assert rep.worst_value == pytest.approx(-0.07837004556411269, rel=1e-12)
     assert rep.witness == pytest.approx((1.0728845638128774, 49.39794077312459), rel=1e-12)
     assert rep.details["hessian_worst"] == pytest.approx(94.84277137861612, rel=1e-12)

@@ -46,6 +46,20 @@ def test_margins_batch_agrees_with_scalar():
             assert (margin > spec.tol) == cones.cone_contains(spec, tuple(p))
 
 
+@pytest.mark.parametrize("spec", [ConeSpec("garding", 3, 3), ConeSpec("tilde", 3, 2, 1.0)])
+def test_cone_door_checks_the_width(spec):
+    # a point of the wrong width has no margin in the cone: the batch door
+    # raises, and so does everything that reads margins through it
+    for pts in (np.ones((2, 4)), np.ones((2, 2)), np.ones((2, 3, 2))):
+        with pytest.raises(DomainError, match=f"n={spec.n}"):
+            cones.cone_margins_batch(spec, pts)
+    with pytest.raises(DomainError):
+        cones.cone_margin(spec, (1.0, 1.0))
+    with pytest.raises(DomainError):
+        cones.cone_contains(spec, (1.0, 1.0, 1.0, 1.0))
+    assert cones.cone_margins_batch(spec, np.ones((2, 3))).tolist() == [1.0, 1.0]
+
+
 @pytest.mark.parametrize("kind", ["garding", "tilde"])
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("alpha", [0, 0.5, 2])

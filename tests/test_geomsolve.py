@@ -606,7 +606,7 @@ def test_barrier_examples():
 
 def test_barrier_fails_where_psi_is_not_a_number():
     # a NaN sphere margin reads -inf and fails the check at its point, in
-    # both modes (the worst-case tracker alone skips NaN)
+    # both modes
     class Holed:
         def evaluate(self, X, nu):
             vals = 3.0 / np.sqrt((X * X).sum(-1)) ** 3 + 0.0 * nu[..., 0]
@@ -617,6 +617,32 @@ def test_barrier_fails_where_psi_is_not_a_number():
         rep = gs.barrier_check(Holed(), OP, 0.5, r2)
         assert not rep.passed and rep.worst_value == -np.inf
         assert rep.witness == tuple(0.5 * gs._direction_grid()[5])
+
+
+def test_barrier_nan_does_not_hide_a_failing_normal():
+    # homotopy.ini's psi, made to grow with rho on the normal e_y alone,
+    # fails radial monotonicity; NaN at a few points of that normal must
+    # fail it too (and there), not drop the normal's margins
+    class Tilted:
+        base = gs.PsiSpec("anisotropic-radial", c=3.0, p=3.0, eps=0.1, axis=(0, 0, 1))
+
+        def __init__(self, holed):
+            self.holed = holed
+
+        def evaluate(self, X, nu):
+            r = np.sqrt((X * X).sum(-1))
+            on_ey = (nu == (0.0, 1.0, 0.0)).all(-1)
+            vals = self.base.evaluate(X, nu) * np.where(on_ey, 1 + 0.05 * (r - 0.5)**2 * r**3, 1)
+            hole = on_ey & (r > 1.9) & (X[..., 2] > 1.8)
+            return np.where(hole, np.nan, vals) if self.holed else vals
+
+    rep = gs.barrier_check(Tilted(False), OP, 0.5, 2.0)
+    assert not rep.passed
+    assert rep.details["monotonicity_margin"] == pytest.approx(-0.4231158097, rel=1e-9)
+    rep = gs.barrier_check(Tilted(True), OP, 0.5, 2.0)
+    assert not rep.passed and rep.worst_value == rep.details["monotonicity_margin"] == -np.inf
+    point, nu = rep.witness
+    assert nu == (0.0, 1.0, 0.0) and np.linalg.norm(point) > 1.8 and point[2] > 1.7
 
 
 @pytest.mark.parametrize("op, psi, r1, r2, mono_worst", [
@@ -775,7 +801,7 @@ def test_continuation_hands_its_factor_on(monkeypatch):
     path = gs.homotopy_solve(OP, psi, gs.SphereGrid(32, 16), 0.5, 2.0, steps=20, eps=1e-2)
     assert path.ts[-1] == 1.0 and path.final_diagnostics.converged
     assert 0 < len(factors) < len(path.ts) - 1
-    assert path.records == [gs.curvature_monitor(s) for s in path.surfaces]
+    assert gs.monitor_path(path)[0] == [gs.curvature_monitor(s) for s in path.surfaces]
     assert _reaches({"lu": [factors[-1]]}, block_lu)
     assert not _reaches(path, block_lu)
 
@@ -933,7 +959,7 @@ def test_path_csv_matches_csv_writer_oracle(tmp_path):
     psi, path = _small_path()
     gs.write_path_csv(tmp_path, path)
     rows = []
-    for idx, (t, surf, rec) in enumerate(zip(path.ts, path.surfaces, path.records)):
+    for idx, (t, surf, rec) in enumerate(zip(path.ts, path.surfaces, gs.monitor_path(path)[0])):
         res = gs.write_solution_csv(tmp_path / "again.csv", surf, OP,
                                     gs._BlendedPsi(psi, OP, t, 1e-2))
         assert (tmp_path / "again.csv").read_bytes() == \

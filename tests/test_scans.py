@@ -8,7 +8,8 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from symcurv import cones, concave, hypcheck
 from symcurv.combop import OperatorSpec, lower_operator, q_eval, q_hess
@@ -191,6 +192,21 @@ def test_worst_tracker_keeps_the_first_minimum():
     worst.offer(np.array([0.5, -1.0, -1.0]), at)     # strictly lower: the first of them
     assert worst.value == -1.0 and worst.witness == (1,) and worst.extra == {"chunk": 2}
     assert isinstance(worst.value, float)
+
+
+@given(values=arrays(np.float64, array_shapes(max_dims=3, max_side=5), elements=st.floats()),
+       where=st.integers(0, 124), prior=st.floats(allow_nan=False))
+@example(values=np.array([0.0, -5.0]), where=0, prior=np.inf)   # NaN first, then -5
+def test_worst_tracker_reads_nan_as_minus_inf_at_the_first_nan(values, where, prior):
+    # a NaN fails at its own index; it does not drop the chunk
+    values.flat[where % values.size] = np.nan
+    first = tuple(np.argwhere(np.isnan(values))[0].tolist())
+    worst = cones._Worst()
+    worst.offer(np.array([prior]), lambda i: ("prior", None))
+    worst.offer(values, lambda *index: (tuple(int(i) for i in index), None))
+    assert worst.value == -np.inf
+    # an earlier -inf is a tie, and the first minimum keeps its witness
+    assert worst.witness == ("prior" if prior == -np.inf else first)
 
 
 def _guan_inputs(alpha):
