@@ -6,23 +6,25 @@ Garding cones of sigma_k and of sigma_k(lam, alpha) in n+1 entries.
 Strict inequalities are tested against dimension-aware scales: sigma_m is
 compared with tol * C(n,m) * max|lam_i|^m.
 
-Randomness is counter-based (Philox keyed by the seed, after Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC 2011).  The scans draw
-with the counter [block, group, phase, 0]: in each (phase, group) trial i
-owns the fixed-width block of doubles starting at double i*W (W a multiple
-of 4, so the block is W/4 whole Philox counter blocks).  The phase
-separates the independent draws of one trial (its cone point, a second
-point, its normal directions, its interior Hessian point); the sampler's
-rejection tries come in groups of _TRY_GROUP, try r reading the slice
-r mod _TRY_GROUP of the block of group r // _TRY_GROUP.  Only
-fixed-consumption variates (``random()``) are drawn and then transformed,
-and each draw builds its own Philox generator, so the draws are a pure
-function of (seed, phase, try group, trial): not of the trial count, the
-chunk boundaries or the other trials, and no two trials share a draw.
-Scans process trials in chunks of _CHUNK, drawing a chunk with one Philox
-call per pass and evaluating it in masked, vectorized rounds.
-trial_rng(seed, i) is a separate per-trial generator (trial index in the
-top counter word) for code that draws one trial at a time.
+Randomness is counter-based (after Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011): one SplitMix64 stream per seed
+(Steele, Lea & Flood, OOPSLA 2014), read by index.  Draw i of the stream
+is (mix64(key + i*gamma) >> 11) * 2^-53, with mix64 Stafford's Mix13
+finalizer, key = mix64(seed*gamma0) and gamma = mix64(key + gamma0) | 1
+(gamma0 the golden-ratio constant; SplitMix's guard against gammas with
+few bit transitions).  A scan's draw sits at the index
+trial << 20 | try << 12 | phase << 10 | slot: the phase separates the
+independent draws of one trial (its cone point, a second point, its
+normal directions, its interior Hessian point), the try is the sampler's
+rejection try and the slot the uniform within it.  A field that would
+overflow its bits raises DomainError, so no two draws share an index.
+Only uniforms are drawn and then transformed, so the draws are a pure
+function of (seed, phase, trial, try, slot): not of the trial count, the
+chunk boundaries or the other trials.  Scans process trials in chunks of
+_CHUNK, drawing exactly the tries, pending trials and slots of each pass
+and evaluating them in masked, vectorized rounds.  trial_rng(seed, i) is
+the one numpy generator, for code that draws one trial at a time; it
+loads numpy.random when it is called.
 """
 
 from collections import namedtuple
@@ -116,33 +118,66 @@ def trial_rng(seed, index):
 
 _CHUNK = 512  # trials drawn and evaluated together; bounds memory per scan
 
-# phases: independent draws of one trial (counter word 2)
+# phases: independent draws of one trial
 _PHASE_POINT = 0      # the trial's cone point
 _PHASE_OTHER = 1      # a second cone point (segment convexity)
 _PHASE_NORMAL = 2     # normal vectors (midpoint directions, Guan derivative vectors)
 _PHASE_HESSIAN = 3    # interior points of the Hessian trials
 
+# a draw's index: trial << 20 | try << 12 | phase << 10 | slot
+_TRIAL_BITS, _TRY_BITS, _PHASE_BITS, _SLOT_BITS = 44, 8, 2, 10
+_GAMMA0 = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, SplitMix64's seed step
 
-def _width(count):
-    """Doubles per trial block: count rounded up to whole Philox blocks."""
-    return 4 * -(-count // 4)
+
+def _mix64(z):
+    """Stafford's Mix13 finalizer on a uint64 array, in place (wrapping)."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def _uniforms(seed, phase, first, rounds, start, count, width, group=1):
-    """Uniforms of trials start..start+count-1 for tries first..first+rounds-1
-    in `phase`: shape (rounds, count, width).
+def _check_field(name, lo, hi, bits):
+    """DomainError unless the values lo..hi-1 of a stream field fit in bits."""
+    if lo < 0 or hi > 1 << bits:
+        raise DomainError(f"{name} {lo}..{hi - 1} does not fit in {bits} bits")
 
-    Tries come in groups of `group`: in try group g trial i owns the
-    block of group * width doubles that starts after Philox counter
-    [i * group * width / 4, g, phase, 0] (Philox pre-increments its
-    counter), and try r reads the (r mod group)-th width-slice of it.
-    The tries asked for must lie in one group."""
-    g, j = divmod(first, group)
-    if j + rounds > group:
-        raise ValueError("tries must lie in one group")
-    bg = np.random.Philox(key=seed, counter=[int(start) * group * width // 4, g, phase, 0])
-    out = np.random.Generator(bg).random((int(count), group, width))
-    return out[:, j: j + rounds].transpose(1, 0, 2)
+
+@lru_cache(maxsize=256)
+def _stream(seed):
+    """(key, gamma) of the seed's SplitMix64 stream, as uint64 scalars."""
+    _check_field("seed", seed, seed + 1, 64)
+    key = _mix64(np.array([seed * _GAMMA0 % 2**64], dtype=np.uint64))
+    gamma = int(_mix64(key + np.uint64(_GAMMA0))[0]) | 1
+    if (gamma ^ (gamma >> 1)).bit_count() < 24:
+        gamma ^= 0xAAAAAAAAAAAAAAAA
+    return key[0], np.uint64(gamma)
+
+
+def _heads(phase, start, count):
+    """The index bits trial << 20 | phase << 10 of trials
+    start..start+count-1 in `phase`, as uint64."""
+    _check_field("phase", phase, phase + 1, _PHASE_BITS)
+    _check_field("trial", start, start + count, _TRIAL_BITS)
+    trials = np.arange(start, start + count, dtype=np.uint64)
+    return trials << np.uint64(_TRY_BITS + _PHASE_BITS + _SLOT_BITS) \
+        | np.uint64(phase << _SLOT_BITS)
+
+
+def _uniforms(seed, heads, first, rounds, slots):
+    """Uniforms of tries first..first+rounds-1 of the trials whose index
+    bits are heads (_heads), slots 0..slots-1 of each: shape
+    (rounds, len(heads), slots), exactly the draws asked for."""
+    _check_field("try", first, first + rounds, _TRY_BITS)
+    _check_field("slot", 0, slots, _SLOT_BITS)
+    key, gamma = _stream(int(seed))
+    tries = np.arange(first, first + rounds, dtype=np.uint64) << np.uint64(_PHASE_BITS + _SLOT_BITS)
+    z = (tries[:, None] | heads)[:, :, None] | np.arange(slots, dtype=np.uint64)
+    z *= gamma
+    z += key
+    return (_mix64(z) >> np.uint64(11)).astype(float) * 2.0**-53
 
 
 def _chunks(total):
@@ -154,11 +189,11 @@ def _normal_chunk(seed, start, count, size):
     """Standard normals, shape (count, size), for trials start..start+count-1
     in _PHASE_NORMAL.
 
-    Box-Muller on one fixed-width block of uniforms per trial."""
+    Box-Muller on the uniforms of each trial's try 0."""
     half = -(-size // 2)
-    u = _uniforms(seed, _PHASE_NORMAL, 0, 1, start, count, _width(2 * half))[0]
+    u = _uniforms(seed, _heads(_PHASE_NORMAL, start, count), 0, 1, 2 * half)[0]
     radius = np.sqrt(-2.0 * np.log1p(-u[:, :half]))
-    angle = 2.0 * np.pi * u[:, half: 2 * half]
+    angle = 2.0 * np.pi * u[:, half:]
     return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)[:, :size]
 
 
@@ -228,7 +263,6 @@ def cone_margins_batch(spec, points):
 _GRID = np.arange(1.0, 49.0)  # each level of the exit search: 48 steps up its bracket
 _MAX_TRIES = 200
 _BOUNDARY_BIAS = 0.8  # share of a trial's tries mixed toward the boundary
-_TRY_GROUP = 8  # a trial's sampler tries are drawn in groups of this many
 
 
 def _pass_rounds(pending):
@@ -303,7 +337,7 @@ def _sample_rounds(spec, draw, boundary_bias, floor):
     accepted when its margin is >= the trial's floor, and a trial keeps its
     first accepted try.  draw(r, rounds, rows) returns the uniforms of tries
     r..r+rounds-1 of the given rows, shape (rounds, len(rows), >= 2n+3).
-    Several rounds (of one try group) are evaluated in one pass when few
+    Several rounds are evaluated in one pass when few
     trials are pending (_pass_rounds); the result is the same as one round
     at a time.  boundary_bias and floor are per-row arrays.  Returns
     (points, found), shapes (m, n) and (m,).
@@ -316,7 +350,7 @@ def _sample_rounds(spec, draw, boundary_bias, floor):
         # without a margin floor most trials accept their first try, so
         # round 0 goes alone
         rounds = 1 if r == 0 and floor.max() <= spec.tol else min(
-            _MAX_TRIES - r, _pass_rounds(rows.size), _TRY_GROUP - r % _TRY_GROUP)
+            _MAX_TRIES - r, _pass_rounds(rows.size))
         u = draw(r, rounds, rows)
         # the per-row bias and floor broadcast over the rounds
         cand = _candidates(spec, u.reshape(rounds * rows.size, -1),
@@ -340,37 +374,17 @@ def _sample(spec, seed, parts):
     """Cone points for the trials of several parts, drawn in the same
     masked rounds; returns one (points, found) pair per part.
 
-    Try r of trial i in a part reads the slice r mod _TRY_GROUP of trial
-    i's block of (phase, try group r // _TRY_GROUP): one Philox call per
-    part and pass."""
-    width = _width(2 * spec.n + 3)
+    Try r of trial i in a part reads slots 0..2n+2 of (part.phase, i, r):
+    one draw per pass, of the pending trials only."""
     counts = [part.count for part in parts]
     ends = np.cumsum([0] + counts)
+    heads = np.concatenate([_heads(part.phase, part.start, part.count) for part in parts])
     bias = np.repeat([part.boundary_bias for part in parts], counts)
     floor = np.repeat([max(part.min_margin, spec.tol) for part in parts], counts)
-
-    def draw(r, rounds, rows):
-        out = []
-        for part, lo_row, hi_row in zip(parts, ends[:-1], ends[1:]):
-            sub = rows[(rows >= lo_row) & (rows < hi_row)] - lo_row
-            if sub.size:
-                lo = sub[0]
-                u = _uniforms(seed, part.phase, r, rounds, part.start + lo, sub[-1] - lo + 1,
-                              width, _TRY_GROUP)
-                out.append(u[:, sub - lo])
-        return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
-
-    points, found = _sample_rounds(spec, draw, bias, floor)
+    points, found = _sample_rounds(
+        spec, lambda r, rounds, rows: _uniforms(seed, heads[rows], r, rounds, 2 * spec.n + 3),
+        bias, floor)
     return [(points[lo:hi], found[lo:hi]) for lo, hi in zip(ends[:-1], ends[1:])]
-
-
-def _sample_one(spec, rng):
-    """One cone point drawn from the generator rng (the scans' rounds, one
-    block of uniforms per try), or None after _MAX_TRIES."""
-    width = _width(2 * spec.n + 3)
-    points, found = _sample_rounds(spec, lambda r, rounds, rows: rng.random((rounds, 1, width)),
-                                   np.array([_BOUNDARY_BIAS]), np.array([spec.tol]))
-    return tuple(points[0].tolist()) if found[0] else None
 
 
 def sample_cone(spec, count, seed, min_margin=0.0):

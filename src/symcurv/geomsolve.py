@@ -51,7 +51,7 @@ from .errors import (
     DomainError,
 )
 from .combop import OperatorSpec, q_eval
-from .cones import ConeSpec, VerificationReport, _Worst, cone_margins_batch, trial_rng
+from .cones import ConeSpec, VerificationReport, _Worst, _normal_chunk, cone_margins_batch
 
 __all__ = [
     "SphereGrid",
@@ -163,11 +163,10 @@ def perturbed_sphere(grid, radius, amplitude, seed):
     keeps small perturbations inside the admissible cone at any resolution
     (nodewise white noise would not be: its discrete second differences
     grow like 1/h^2)."""
-    rng = trial_rng(seed, 0)
     r_hat, _, _ = grid.unit_vectors()
     x, y, z = r_hat[..., 0], r_hat[..., 1], r_hat[..., 2]
     basis = [x, y, z, x * y, y * z, x * z, x * x - y * y, 3 * z * z - 1.0]
-    coeff = rng.normal(size=len(basis))
+    coeff = _normal_chunk(seed, 0, 1, len(basis))[0]
     f = sum(c * b for c, b in zip(coeff, basis))
     f /= np.max(np.abs(f))
     return RadialSurfaceField(radius * (1.0 + amplitude * f), grid)

@@ -226,6 +226,56 @@ def normalized_margin_exact(kind, point, k, alpha=0):
     return min(qs)
 
 
+def sample_one(spec, rng):
+    """One cone point drawn from the numpy generator rng through the
+    scans' candidate map and margin check, or None after cones._MAX_TRIES
+    tries.  Try r reads 4*ceil((2n+3)/4) doubles of rng; the tries are drawn
+    in passes of try 0 alone, then 1-7, 8-15, 16-23, ..., and the first
+    accepted try is kept, so a caller that goes on drawing from rng sees
+    the same stream on every run."""
+    from symcurv import cones
+
+    width = 4 * -(-(2 * spec.n + 3) // 4)
+    r = 0
+    while r < cones._MAX_TRIES:
+        rounds = 1 if r == 0 else min(cones._MAX_TRIES - r, 8 - r % 8)
+        u = rng.random((rounds, 1, width))[:, 0]
+        cand = cones._candidates(spec, u, u[:, spec.n] < cones._BOUNDARY_BIAS)
+        ok = cones.cone_margins_batch(spec, cand) >= spec.tol
+        if ok.any():
+            return tuple(cand[ok.argmax()].tolist())
+        r += rounds
+    return None
+
+
+_M64 = 2**64 - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def mix13(z):
+    """Stafford's Mix13 finalizer over Python ints."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _M64
+    return z ^ (z >> 31)
+
+
+def splitmix64(seed, start=0):
+    """The sequential SplitMix64 generator of a seed over Python ints
+    (Steele, Lea & Flood, OOPSLA 2014), from its start-th draw on.  The
+    state starts at key + start * gamma, with key = mix13(seed * golden)
+    and gamma = mix13(key + golden) | 1, flipped by 0xAA..A when it has
+    fewer than 24 bit transitions; each step yields
+    (mix13(state) >> 11) * 2^-53 and then adds gamma to the state."""
+    key = mix13(seed * _GOLDEN & _M64)
+    gamma = mix13((key + _GOLDEN) & _M64) | 1
+    if bin(gamma ^ (gamma >> 1)).count("1") < 24:
+        gamma ^= 0xAAAAAAAAAAAAAAAA
+    state = (key + start * gamma) & _M64
+    while True:
+        yield (mix13(state) >> 11) * 2.0**-53
+        state = (state + gamma) & _M64
+
+
 def rooted_product(linear, quadratic_c=None):
     """Coefficients (constant first, exact) of prod (a t + b)^m over
     linear = [(a, b, m), ...], times t^2 + c when quadratic_c = c is given,

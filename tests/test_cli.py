@@ -343,6 +343,12 @@ def test_no_config_loads_scipy(tmp_path):
     _probe_imports(tmp_path, "scipy", DEMO_CONFIGS)
 
 
+def test_no_config_loads_numpy_random(tmp_path):
+    # the scans read their own index-addressed stream, and the solve's
+    # perturbed start its normals from it
+    _probe_imports(tmp_path, "numpy.random", DEMO_CONFIGS)
+
+
 def test_module_entry_point_runs_without_runtime_warning(tmp_path):
     # the package loads cli on first access, so runpy finds no symcurv.cli
     # already imported when it runs the module as __main__

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import elem_sym_enumerate
+from oracles import elem_sym_enumerate, sample_one
 
 from symcurv import combop, hypcheck, symfun
 from symcurv.combop import OperatorSpec, PolyCoeffs
-from symcurv.cones import ConeSpec, trial_rng, _sample_one
+from symcurv.cones import ConeSpec, trial_rng
 from symcurv.errors import DomainError, SingularityError
 
 
@@ -107,7 +107,7 @@ def test_quotient_recursion_identity():
     # (k+1) q_k - alpha*sigma_k/Q_S^k == sum_i [lam_i - lam_i^2/(lam_i + q_{k-1}(lam|i))]
     rng_spec = ConeSpec("garding", 5, 3)
     for trial in range(50):
-        lam = _sample_one(rng_spec, trial_rng(11, trial))
+        lam = sample_one(rng_spec, trial_rng(11, trial))
         for alpha in (0.5, 2.0):
             k = 2
             e = symfun.sigma_all(lam, k + 1)
@@ -269,7 +269,7 @@ def test_real_rootedness_on_gamma_k_segments():
         while count < 1000:
             rng = trial_rng(21, trial)
             trial += 1
-            x = _sample_one(spec, rng)
+            x = sample_one(spec, rng)
             a = tuple(rng.normal(size=n))
             if abs(symfun.elem_sym(a, k)) < 1e-3:
                 continue
@@ -290,8 +290,8 @@ def test_root_sign_pattern_on_segments():
     done = 0
     for trial in range(300):
         rng = trial_rng(31, trial)
-        x = _sample_one(spec, rng)
-        y = _sample_one(spec, rng)
+        x = sample_one(spec, rng)
+        y = sample_one(spec, rng)
         a = tuple(yi - xi for yi, xi in zip(y, x))
         if abs(symfun.elem_sym(a, k)) < 1e-6:
             continue

@@ -3,8 +3,13 @@ every sample, and witnesses that reproduce the reported worst values
 through the scalar paths."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from itertools import islice
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +19,10 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from symcurv import cones, concave, hypcheck
 from symcurv.combop import OperatorSpec, lower_operator, q_eval, q_hess
 from symcurv.cones import ConeSpec
+from symcurv.errors import DomainError
 
-from oracles import fd_hessian as oracle_fd_hessian, in_cone_exact, normalized_margin_exact
+from oracles import (fd_hessian as oracle_fd_hessian, in_cone_exact, mix13 as oracle_mix13,
+                     normalized_margin_exact, splitmix64 as oracle_splitmix64)
 
 CHUNK = cones._CHUNK
 SPECS = [ConeSpec("garding", 3, 2), ConeSpec("garding", 4, 3),
@@ -62,19 +69,74 @@ def test_chunk_draws_depend_on_trial_index_only(seed, start, count):
                           cones._normal_chunk(seed, start, count, 7))
 
 
+def test_draws_read_the_sequential_splitmix64_stream():
+    # trial 0's phases 0..3 and tries 0..1 with all 1024 slots are the
+    # indices 0..8191 in order; the oracle's state starts at the key
+    assert oracle_mix13(0x9E3779B97F4A7C15) == 0xE220A8397B1DCDAF   # SplitMix64 from state 0
+    for seed in (0, 5, 2**40 + 3, 2**64 - 1):
+        heads = np.concatenate([cones._heads(phase, 0, 1) for phase in range(4)])
+        got = cones._uniforms(seed, heads, 0, 2, 1024).ravel()
+        assert got.tolist() == list(islice(oracle_splitmix64(seed), got.size))
+
+
 @SLOW
-@given(seed=seed_st, phase=st.integers(0, 8), first=st.integers(0, 199),
-       rounds=st.integers(1, 8), start=st.integers(0, 5000), count=st.integers(1, 9),
-       width=st.sampled_from([4, 12, 16]))
-def test_draws_follow_the_counter_layout(seed, phase, first, rounds, start, count, width):
-    # in try group g, trial i's block of 8 * width doubles follows Philox
-    # counter [i * 8 * width / 4, g, phase, 0]; try r reads its slice r mod 8
-    rounds = min(rounds, 8 - first % 8)
-    got = cones._uniforms(seed, phase, first, rounds, start, count, width, 8)
-    bg = np.random.Philox(key=seed, counter=[start * 2 * width, first // 8, phase, 0])
-    block = np.random.Generator(bg).random((count, 8, width))
-    for j in range(rounds):
-        assert np.array_equal(got[j], block[:, first % 8 + j])
+@given(seed=st.integers(0, 2**64 - 1), phase=st.integers(0, 3), first=st.integers(0, 199),
+       rounds=st.integers(1, 8), start=st.integers(0, 2**44 - 10), count=st.integers(1, 9),
+       slots=st.integers(1, 40))
+def test_draws_follow_the_index_layout(seed, phase, first, rounds, start, count, slots):
+    # the draw of (phase, trial, try, slot) is the stream's draw at index
+    # trial << 20 | try << 12 | phase << 10 | slot
+    got = cones._uniforms(seed, cones._heads(phase, start, count), first, rounds, slots)
+    assert got.shape == (rounds, count, slots)
+    for a in range(rounds):
+        for b in range(count):
+            index = (start + b) << 20 | (first + a) << 12 | phase << 10
+            assert got[a, b].tolist() == list(islice(oracle_splitmix64(seed, index), slots))
+
+
+def test_draw_fields_that_overflow_raise():
+    heads = cones._heads(0, 0, 2)
+    for call in (lambda: cones._heads(4, 0, 1),                 # phase: 2 bits
+                 lambda: cones._heads(0, -1, 1),
+                 lambda: cones._heads(0, 2**44 - 1, 2),        # trial: 44 bits
+                 lambda: cones._uniforms(0, heads, 255, 2, 3),  # try: 8 bits
+                 lambda: cones._uniforms(0, heads, 0, 1, 1025),  # slot: 10 bits
+                 lambda: cones._uniforms(-1, heads, 0, 1, 3),   # seed: 64 bits
+                 lambda: cones._uniforms(2**64, heads, 0, 1, 3),
+                 lambda: cones._normal_chunk(0, 0, 1, 2049),
+                 lambda: cones.sample_cone(ConeSpec("garding", 511, 1), 1, 0)):
+        with pytest.raises(DomainError):
+            call()
+    assert cones._heads(0, 2**44 - 1, 1)[0] == (2**44 - 1) << 20
+    assert cones._uniforms(0, heads, 255, 1, 1024).shape == (1, 2, 1024)
+
+
+_RANDOM_PROBE = """
+import sys
+from symcurv import concave, cones, geomsolve, hypcheck
+from symcurv.combop import OperatorSpec, lower_operator
+spec = cones.ConeSpec("tilde", 3, 2, 2.0)
+op = OperatorSpec.sum_type(3, 2, 2)
+cones.sample_cone(spec, 20, 1)
+cones.segment_convexity_check(spec, 20, 1)
+cones.ellipticity_scan(op, spec, 20, 1)
+concave.concavity_scan(concave.sum_root_field(3, 2, 2.0), 20, 1, hessian_trials=4)
+c = hypcheck.check_condition_c(op)
+concave.guan_scan(op, lower_operator(op, c.witness, 1, c.N), 20, 1)
+geomsolve.perturbed_sphere(geomsolve.SphereGrid(8, 4), 2.0, 0.05, 1)
+loaded = [m for m in sys.modules if m.startswith("numpy.random")]
+sys.exit(f"loaded {loaded}" if loaded else 0)
+"""
+
+
+def test_scans_and_perturbed_sphere_never_load_numpy_random():
+    # a fresh interpreter: this test process has loaded numpy.random already
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-c", _RANDOM_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 @settings(max_examples=100, deadline=None)
@@ -155,13 +217,14 @@ def test_midpoint_witness_reproduces_worst(field, seed):
 
 def test_batched_hessian_matches_naive_differences():
     # the normalized largest eigenvalue of the jet Hessian against that of
-    # the brute-force central differences, to finite-difference accuracy
+    # the brute-force central differences, to finite-difference accuracy:
+    # the step scales with |x|_inf, the scale on which the field varies
     field = concave.quotient_qk_field(4, 2, 1.0)
     xs = np.array(cones.sample_cone(ConeSpec("garding", 4, 3), 20, seed=3, min_margin=0.1))
     got = concave._max_hessian_eigs(field, xs)
     for x, eig in zip(xs, got):
         top = 1.0 + np.max(np.abs(x))
-        want = oracle_fd_hessian(field, x, 1e-4 * top)
+        want = oracle_fd_hessian(field, x, 1e-4 * np.max(np.abs(x)))
         scale = (1.0 + abs(field(x))) / top**2
         assert eig == pytest.approx(np.linalg.eigvalsh(want)[-1] / scale, abs=1e-6)
 
