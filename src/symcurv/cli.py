@@ -4,7 +4,7 @@ Usage: symcurv <config> [--seed S] [--trials T] [--output DIR]
 
 Exit codes: 0 = property verified / solve converged, 1 = property refuted /
 solve failed (a witness file is written), 2 = usage or runtime error, 3 =
-inconclusive (a scan evaluated no trial; no witness file).
+inconclusive (no check failed, some check had no evidence; no witness file).
 Sections: [run] [operator] [psi] [grid] [verify]; 'key = value' lines,
 comma-separated numeric lists, '#' comments; unknown keys are rejected.
 """
@@ -23,38 +23,30 @@ from .combop import OperatorSpec, lower_operator
 from .cones import ConeSpec, segment_convexity_check, ellipticity_scan
 from . import concave, geomsolve, hypcheck
 
-# section -> key -> parser
+
+def _number(raw):
+    return float(Fraction(raw)) if "/" in raw else float(raw)
+
+
+def _alpha(raw):
+    """A Fraction, exact, unless the value has a decimal point."""
+    return Fraction(raw) if "/" in raw or "." not in raw else float(raw)
+
+
+def _list(parser):
+    return lambda raw: tuple(parser(part.strip()) for part in raw.split(","))
+
+
+# section -> key -> the function that parses its value
 _SCHEMA = {
-    "run": {
-        "command": "str",
-        "output_dir": "str",
-        "seed": "int",
-        "trials": "int",
-        "tol": "float",
-    },
-    "operator": {"n": "int", "k": "int", "alphas": "fraclist"},
-    "psi": {
-        "family": "str",
-        "c": "float",
-        "p": "float",
-        "eps": "float",
-        "axis": "floatlist",
-        "axes": "floatlist",
-    },
-    "grid": {"n_lon": "int", "n_lat": "int"},
-    "verify": {
-        "field": "str",
-        "l": "int",
-        "delta": "float",
-        "cone": "str",
-        "hessian_trials": "int",
-        "r1": "float",
-        "r2": "float",
-        "steps": "int",
-        "homotopy_eps": "float",
-        "init_rho": "float",
-        "init_noise": "float",
-    },
+    "run": {"command": str, "output_dir": str, "seed": int, "trials": int, "tol": _number},
+    "operator": {"n": int, "k": int, "alphas": _list(_alpha)},
+    "psi": {"family": str, "c": _number, "p": _number, "eps": _number,
+            "axis": _list(_number), "axes": _list(_number)},
+    "grid": {"n_lon": int, "n_lat": int},
+    "verify": {"field": str, "l": int, "delta": _number, "cone": str, "hessian_trials": int,
+               "r1": _number, "r2": _number, "steps": int, "homotopy_eps": _number,
+               "init_rho": _number, "init_noise": _number},
 }
 
 @dataclass
@@ -68,25 +60,6 @@ class RunConfig:
     psi: dict = None
     grid: dict = None
     verify: dict = field(default_factory=dict)
-
-
-def _parse_value(kind, raw, lineno):
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(Fraction(raw)) if "/" in raw else float(raw)
-        if kind == "str":
-            return raw
-        if kind == "floatlist":
-            return tuple(float(Fraction(p)) if "/" in p else float(p)
-                         for p in raw.split(","))
-        if kind == "fraclist":
-            parts = [p.strip() for p in raw.split(",")]
-            return tuple(Fraction(p) if ("/" in p or "." not in p) else float(p) for p in parts)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"non-numeric value {raw!r}", line=lineno) from None
-    raise ConfigError(f"unhandled value kind {kind}", line=lineno)
 
 
 def parse_config(text):
@@ -112,7 +85,10 @@ def parse_config(text):
             raise ConfigError(f"unknown key {key!r} in [{section}]", line=lineno)
         if key in sections[section]:
             raise ConfigError(f"duplicate key {key!r} in [{section}]", line=lineno)
-        sections[section][key] = _parse_value(_SCHEMA[section][key], raw_val, lineno)
+        try:
+            sections[section][key] = _SCHEMA[section][key](raw_val)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"non-numeric value {raw_val!r}", line=lineno) from None
 
     run = sections.get("run", {})
     if "command" not in run:
@@ -142,12 +118,11 @@ def _validate_for_command(cfg):
         raise ConfigError(
             f"alphas must list k+1 = {op['k'] + 1} coefficients, got {len(op['alphas'])}"
         )
-    if cfg.command in ("solve", "homotopy") and cfg.grid is None:
-        raise ConfigError(f"command {cfg.command!r} needs a [grid] section")
-    if cfg.command in ("solve", "homotopy", "barrier-check") and cfg.psi is None:
-        raise ConfigError(f"command {cfg.command!r} needs a [psi] section")
-    needed = {"verify-concavity": ("field",), "homotopy": ("r1", "r2"), "barrier-check": ("r1",)}
-    for key in needed.get(cfg.command, ()):
+    _, sections, keys = _COMMANDS[cfg.command]
+    for name in sections:
+        if getattr(cfg, name) is None:
+            raise ConfigError(f"command {cfg.command!r} needs a [{name}] section")
+    for key in keys:
         if key not in cfg.verify:
             raise ConfigError(f"{cfg.command} needs {key!r} in [verify]")
 
@@ -390,17 +365,18 @@ def _homotopy(cfg, op):
     return rows + [("homotopy", len(path.ts), final_res, True)], None
 
 
-_HANDLERS = {
-    "check-condition-c": _check_condition_c,
-    "check-condition-q": _check_condition_q,
-    "check-cone": _check_cone,
-    "verify-concavity": _verify_concavity,
-    "verify-guan": _verify_guan,
-    "solve": _solve,
-    "homotopy": _homotopy,
-    "barrier-check": _barrier_check,
+# command -> (handler, the sections it needs besides [operator], the [verify] keys it needs)
+_COMMANDS = {
+    "check-condition-c": (_check_condition_c, (), ()),
+    "check-condition-q": (_check_condition_q, (), ()),
+    "check-cone": (_check_cone, (), ()),
+    "verify-concavity": (_verify_concavity, (), ("field",)),
+    "verify-guan": (_verify_guan, (), ()),
+    "solve": (_solve, ("grid", "psi"), ()),
+    "homotopy": (_homotopy, ("grid", "psi"), ("r1", "r2")),
+    "barrier-check": (_barrier_check, ("psi",), ("r1",)),
 }
-COMMANDS = tuple(_HANDLERS)
+COMMANDS = tuple(_COMMANDS)
 
 
 def execute(cfg):
@@ -408,7 +384,7 @@ def execute(cfg):
     the property holds or the solve converges, 1 when a witness is written,
     3 when a scan is inconclusive."""
     _echo(cfg)
-    rows, witness = _HANDLERS[cfg.command](cfg, _operator(cfg))
+    rows, witness = _COMMANDS[cfg.command][0](cfg, _operator(cfg))
     _write_report_csv(cfg.output_dir, rows)
     if witness is None or witness is _INCONCLUSIVE:
         return 0 if witness is None else 3
@@ -436,12 +412,10 @@ def main(argv=None):
         return 2
     try:
         cfg = parse_config(text)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.trials is not None:
-            cfg.trials = args.trials
-        if args.output is not None:
-            cfg.output_dir = args.output
+        for name, value in (("seed", args.seed), ("trials", args.trials),
+                            ("output_dir", args.output)):
+            if value is not None:
+                setattr(cfg, name, value)
         return execute(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -302,8 +302,9 @@ def concavity_scan(
     or no finite residual) and directions_unresolved (sampled (trial,
     direction) pairs with no admissible probe size or a non-finite
     residual).  A scan with no finite midpoint residual, or with Hessian
-    trials requested and no finite Hessian eigenvalue, is inconclusive:
-    details["inconclusive"] is True and the report does not pass.
+    trials requested and no finite Hessian eigenvalue, does not pass; it
+    is inconclusive (details["inconclusive"]) unless the other check
+    fails.  A negative trial count raises DomainError.
     """
     if field.domain is None:
         raise DomainError("concavity_scan needs a field with a domain cone")

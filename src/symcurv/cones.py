@@ -87,8 +87,8 @@ class VerificationReport:
     nonnegative means satisfied); passed is worst_value >= -tol under the
     scan's tolerance.  witness holds the worst-case sample.  The scans
     count their evidence in details (trials_evaluated, trials_skipped); a
-    scan without evidence is inconclusive (details["inconclusive"]) and
-    does not pass.
+    scan in which no check failed but some check had no evidence is
+    inconclusive (details["inconclusive"]) and does not pass.
     """
 
     passed: bool
@@ -101,7 +101,7 @@ class VerificationReport:
 
     @property
     def tag(self):
-        """'PASS', 'FAIL', or 'FAIL (inconclusive)' for a scan without evidence."""
+        """'PASS', 'FAIL', or 'FAIL (inconclusive)' for an inconclusive scan."""
         tag = "PASS" if self.passed else "FAIL"
         return tag + " (inconclusive)" if self.details.get("inconclusive") else tag
 
@@ -181,7 +181,9 @@ def _uniforms(seed, heads, first, rounds, slots):
 
 
 def _chunks(total):
-    """(start, count) of consecutive trial chunks covering range(total)."""
+    """(start, count) of consecutive trial chunks covering range(total >= 0)."""
+    if total < 0:
+        raise DomainError(f"trial count must be nonnegative, got {total}")
     return [(s, min(_CHUNK, total - s)) for s in range(0, total, _CHUNK)]
 
 
@@ -447,13 +449,14 @@ def _evidence_report(worst, tol, trials, seed, evaluated, details=None, gates=()
     """Report of a scan that needs worst.value >= -tol (worst a _Worst) over
     the trials it evaluated; trials_skipped counts the other trials.  Each
     (tracker, tol, count) in gates is one more check of that form with its
-    own count of evidence.  The report passes when every check holds, and
-    is inconclusive (and does not pass) when a check has no evidence.  Its
-    witness and witness_extra are those of the first failing check, else
-    worst's; worst_value is always worst's."""
+    own count of evidence.  The report passes when every check holds with
+    evidence; it fails when a check fails, and is inconclusive when none
+    fails but some check has no evidence.  Its witness and witness_extra
+    are those of the first failing check, else worst's; worst_value is
+    always worst's."""
     checks = [(worst, tol, evaluated), *gates]
     failed = [w for w, t, _ in checks if not w.value >= -t]
-    inconclusive = any(count == 0 for _, _, count in checks)
+    inconclusive = not failed and any(count == 0 for _, _, count in checks)
     shown = (failed or [worst])[0]
     return VerificationReport(
         passed=not inconclusive and not failed,

@@ -674,6 +674,8 @@ def barrier_check(psi, op, r1, r2=None, tol=1e-12):
 
     worst_value is the minimum normalized margin over all samples.
     """
+    if not r1 > 0:
+        raise DomainError(f"need r1 > 0, got {r1}")
     if r2 is not None and not r1 < r2:
         raise DomainError("need r1 < r2 in annulus mode")
     q_round = float(q_eval(op, tuple([1.0] * op.n)))
@@ -769,8 +771,11 @@ def homotopy_solve(op, psi, grid, r1, r2, steps=20, eps=1e-2, opts=None,
     As dt shrinks the prediction tends to the last accepted surface, which
     is admissible.
 
-    psi must satisfy the annulus barrier unless check_barrier is False.
+    psi must satisfy the annulus barrier unless check_barrier is False;
+    steps < 1 raises DomainError.
     """
+    if steps < 1:
+        raise DomainError(f"need steps >= 1, got {steps}")
     if check_barrier:
         rep = barrier_check(psi, op, r1, r2)
         if not rep.passed:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,41 @@ def test_parse_errors_name_lines():
         cli.parse_config("[run]\ncommand = homotopy\n[operator]\nn=2\nk=2\nalphas=0,1,1\n"
                          "[psi]\nfamily = constant\n[grid]\nn_lon=8\nn_lat=4\n"
                          "[verify]\nr1 = 0.5\n")
+
+
+# each command with the sections besides [operator] and the [verify] keys it requires
+REQUIRED = {
+    "check-condition-c": [],
+    "check-condition-q": [],
+    "check-cone": [],
+    "verify-concavity": ["field"],
+    "verify-guan": [],
+    "solve": ["[grid]", "[psi]"],
+    "homotopy": ["[grid]", "[psi]", "r1", "r2"],
+    "barrier-check": ["[psi]", "r1"],
+}
+_OPERATOR = "[operator]\nn = 2\nk = 2\nalphas = 0, 1, 1\n"
+_ANISOTROPIC = "[psi]\nfamily = anisotropic-radial\nc = 3\np = 3\neps = 0.1\naxis = 0,0,1\n"
+_SECTIONS = {"[operator]": _OPERATOR, "[psi]": "[psi]\nfamily = constant\nc = 1\n",
+             "[grid]": "[grid]\nn_lon = 8\nn_lat = 4\n"}
+_VERIFY = {"field": "root-q", "r1": "0.5", "r2": "2"}
+
+
+def _config_with(command, items):
+    sections = "".join(_SECTIONS[item] for item in items if item in _SECTIONS)
+    verify = "".join(f"{item} = {_VERIFY[item]}\n" for item in items if item in _VERIFY)
+    return f"[run]\ncommand = {command}\n{sections}[verify]\n{verify}"
+
+
+@pytest.mark.parametrize("command", REQUIRED)
+def test_each_command_needs_exactly_its_sections_and_keys(command):
+    assert tuple(REQUIRED) == cli.COMMANDS
+    items = ["[operator]", *REQUIRED[command]]
+    assert cli.parse_config(_config_with(command, items)).command == command
+    for missing in items:
+        name = missing if missing in _SECTIONS else repr(missing)
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            cli.parse_config(_config_with(command, [item for item in items if item != missing]))
 
 
 def test_fraction_values_parse_exactly():
@@ -125,6 +161,19 @@ def test_inconclusive_scan_exits_three_without_witness(tmp_path, capsys):
     assert _run(tmp_path, text, "--trials", "0") == 3
     assert "condition-q                  FAIL (inconclusive)" in capsys.readouterr().out
     assert not (out_dir / "witness.json").exists()
+
+
+@pytest.mark.parametrize("text, args", [
+    ("[run]\ncommand = barrier-check\n" + _OPERATOR + _ANISOTROPIC + "[verify]\nr1 = 0\n", ()),
+    ("[run]\ncommand = check-cone\n" + _OPERATOR + "[verify]\ncone = tilde\n", ("--trials", "-1")),
+    ("[run]\ncommand = verify-concavity\ntrials = 50\n" + _OPERATOR
+     + "[verify]\nfield = root-q\nhessian_trials = -3\n", ()),
+], ids=["barrier-r1-zero", "cone-negative-trials", "concavity-negative-hessian-trials"])
+def test_invalid_radius_or_count_exits_two_without_witness(tmp_path, capsys, text, args):
+    assert _run(tmp_path, text, *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out" / "witness.json").exists()
 
 
 def test_verify_concavity_negative_control(tmp_path, capsys):
@@ -244,21 +293,31 @@ def test_solve_writes_newtons_fields_without_new_geometry(tmp_path, monkeypatch,
             f"{record['min_support']:.6f}  convex = {record['is_convex']}") in capsys.readouterr().out
 
 
+HOMOTOPY = ("[run]\ncommand = homotopy\n" + _OPERATOR + _ANISOTROPIC
+            + "[grid]\nn_lon = 16\nn_lat = 8\n[verify]\nr1 = 0.5\nr2 = 2\nsteps = 5\n")
+
+
 def test_homotopy_command(tmp_path, capsys):
-    text = (
-        "[run]\ncommand = homotopy\n"
-        "[operator]\nn = 2\nk = 2\nalphas = 0, 1, 1\n"
-        "[psi]\nfamily = anisotropic-radial\nc = 3\np = 3\neps = 0.1\naxis = 0,0,1\n"
-        "[grid]\nn_lon = 16\nn_lat = 8\n"
-        "[verify]\nr1 = 0.5\nr2 = 2\nsteps = 5\n"
-    )
-    assert _run(tmp_path, text) == 0
+    assert _run(tmp_path, HOMOTOPY) == 0
     out_dir = tmp_path / "out"
     path_csv = (out_dir / "path.csv").read_text().splitlines()
     assert path_csv[0] == "t,max_kappa1,min_support,residual_norm"
     assert len(path_csv) >= 7  # header + at least 6 accepted steps
     assert (out_dir / "surface_0000.csv").exists()
     assert (out_dir / "report.csv").exists()
+
+
+def test_homotopy_without_steps_is_a_failed_solve_with_a_replay_witness(tmp_path, capsys):
+    # every error of the continuation is a failed solve: exit 1, and the
+    # witness holds the inputs that replay it
+    assert _run(tmp_path, HOMOTOPY.replace("steps = 5", "steps = 0")) == 1
+    captured = capsys.readouterr()
+    assert "continuation failed: need steps >= 1, got 0" in captured.out
+    assert "Traceback" not in captured.err
+    witness = json.loads((tmp_path / "out" / "witness.json").read_text())
+    assert witness["command"] == "homotopy" and "steps >= 1" in witness["error"]
+    assert witness["verify"]["steps"] == 0 and witness["grid"] == {"n_lon": 16, "n_lat": 8}
+    assert "homotopy,0,-1.0,false" in (tmp_path / "out" / "report.csv").read_text()
 
 
 DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.ini"))

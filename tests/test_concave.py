@@ -165,6 +165,29 @@ def test_concavity_scan_without_evidence_is_inconclusive():
     assert rep.details["inconclusive"] and not rep.passed
 
 
+def test_refuted_concavity_is_not_inconclusive_without_hessian_evidence():
+    # sigma_2 on n = 2 is not concave: the midpoint trials refute it with
+    # evidence, although no Hessian point reaches the margin 0.999
+    sigma2 = concave.ScalarField("sigma2", 2, lambda x: x[0] * x[1],
+                                 domain=ConeSpec("garding", 2, 2))
+    rep = concave.concavity_scan(sigma2, 200, 1, hessian_trials=20, hessian_margin=0.999)
+    d = rep.details
+    assert (d["trials_evaluated"], d["hessian_validated"]) == (200, 0)
+    assert rep.worst_value == pytest.approx(-0.0906, abs=1e-4)
+    assert rep.witness == pytest.approx((50.64, 0.850), abs=1e-2)
+    assert not rep.passed and not d["inconclusive"]
+    assert rep.tag == "FAIL"
+
+
+def test_negative_trial_counts_are_rejected():
+    field = concave.sum_root_field(3, 2, 1.0)
+    with pytest.raises(DomainError, match="nonnegative"):
+        concave.concavity_scan(field, 50, 1, hessian_trials=-3)
+    with pytest.raises(DomainError, match="nonnegative"):
+        concave.concavity_scan(field, -1, 1)
+    assert concave.concavity_scan(field, 50, 1, hessian_trials=0).passed
+
+
 def test_concavity_scan_counts_evidence():
     rep = concave.concavity_scan(concave.quotient_qk_field(4, 2, 1.0), 300, seed=2,
                                  hessian_trials=30)

@@ -604,6 +604,14 @@ def test_barrier_examples():
         gs.barrier_check(psi_eq, OP, 2.0, 0.5)
 
 
+@pytest.mark.parametrize("r1, r2", [(0.0, None), (-1.0, None), (0.0, 2.0), (-1.0, 2.0)])
+def test_barrier_rejects_a_radius_that_is_not_positive(r1, r2):
+    # r1 = 0 divided by zero and r1 = -1 passed with worst 0.667
+    psi = gs.PsiSpec("anisotropic-radial", c=3.0, p=3.0, eps=0.1, axis=(0, 0, 1))
+    with pytest.raises(DomainError, match="r1 > 0"):
+        gs.barrier_check(psi, OP, r1, r2)
+
+
 def test_barrier_fails_where_psi_is_not_a_number():
     # a NaN sphere margin reads -inf and fails the check at its point, in
     # both modes
@@ -816,6 +824,15 @@ def test_homotopy_predictor_raises_no_cone_exit(steps):
     except ContinuationError:
         return
     assert path.ts[-1] == 1.0
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+def test_homotopy_rejects_fewer_than_one_step(steps):
+    # steps = 0 divided by zero; steps = -1 stepped backwards from t = 0
+    psi = gs.PsiSpec("constant", c=2.0)
+    with pytest.raises(DomainError, match="steps >= 1"):
+        gs.homotopy_solve(OP, psi, gs.SphereGrid(16, 8), 0.5, 2.0, steps=steps,
+                          check_barrier=False)
 
 
 def test_candidate_outside_psi_domain_halves_the_step():

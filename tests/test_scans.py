@@ -289,6 +289,13 @@ SCANS = {
 
 
 @pytest.mark.parametrize("scan", SCANS)
+def test_scan_rejects_a_negative_trial_count(scan):
+    # a negative count once reported trials=-5 and trials_skipped=-5
+    with pytest.raises(DomainError, match="nonnegative"):
+        SCANS[scan](-5, SPECS[2])
+
+
+@pytest.mark.parametrize("scan", SCANS)
 def test_scan_without_evidence_is_inconclusive(scan):
     run = SCANS[scan]
     rep = run(300, SPECS[2])
